@@ -1,4 +1,4 @@
-(* lipsin-lint — project-invariant static analysis, fastpath blob
+(* lipsin-lint — project-invariant static analysis, compiled-row
    auditing and whole-deployment verification.
 
    Lint mode (default):
@@ -11,7 +11,7 @@
      lipsin_lint --audit --edges FILE --assignment FILE [--fill-limit F]
    loads a persisted topology (Edge_list) and LIT assignment (Persist),
    compiles every node's fast path and structurally verifies the
-   compiled blobs with Analysis.Audit; exits 2 on any violation.
+   compiled rows with Analysis.Audit; exits 2 on any violation.
 
    Netcheck mode:
      lipsin_lint --netcheck --edges FILE --assignment FILE
@@ -71,8 +71,8 @@ let help_text =
    \n\
    modes:\n\
   \  (default)    lint .ml/.mli/dune sources against the project rules\n\
-  \  --audit      structurally verify every node's compiled blobs (row-major\n\
-  \               fastpath and bit-sliced transposed tables)\n\
+  \  --audit      structurally verify every node's compiled rows (packed\n\
+  \               fastpath rows and bit-sliced transposed tables)\n\
   \  --netcheck   statically verify the deployment: LIT collisions/subsets,\n\
   \               admissible forwarding loops per table, recovery soundness,\n\
   \               and (with --samples N) loop/false-delivery/fill checks on\n\

@@ -1,6 +1,6 @@
 module Fastpath = Lipsin_forwarding.Fastpath
 module Bitsliced = Lipsin_forwarding.Bitsliced
-module Bitvec = Lipsin_bitvec.Bitvec
+module Rows = Lipsin_forwarding.Rows
 module Partition = Lipsin_bloom.Partition
 
 type violation = {
@@ -17,7 +17,7 @@ let to_string v =
     (if v.table >= 0 then Printf.sprintf " table %d" v.table else "")
     ^ (if v.entry <> "" then Printf.sprintf " %s" v.entry else "")
     ^ (if v.index >= 0 then Printf.sprintf "[%d]" v.index else "")
-    ^ if v.offset >= 0 then Printf.sprintf " @byte %d" v.offset else ""
+    ^ if v.offset >= 0 then Printf.sprintf " @%d" v.offset else ""
   in
   Printf.sprintf "[%s]%s: %s" v.check where v.detail
 
@@ -26,204 +26,102 @@ let pp ppf v = Format.pp_print_string ppf (to_string v)
 (* All checks work on the shared introspection views; nothing here
    mutates engine state. *)
 
-(* Popcount of one (possibly masked) byte; blob ranges go through the
-   shared SWAR helper instead. *)
-let popcount_byte b =
-  let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
-  go b 0
+let rec popcount x acc = if x = 0 then acc else popcount (x land (x - 1)) (acc + 1)
 
-(* Popcount of the live bits [0, m) of the entry at [slot]. *)
-let live_popcount blob ~slot ~stride ~m =
-  let base = slot * stride in
-  let full = m / 8 in
-  let count = Bitvec.popcount_bytes blob ~pos:base ~len:full in
-  let rem = m land 7 in
-  if rem = 0 then count
-  else
-    count
-    + popcount_byte (Char.code (Bytes.get blob (base + full)) land ((1 lsl rem) - 1))
+(* Mask of the bits of group [g] that lie below vector bit [limit]. *)
+let below ~limit g =
+  let lo = g * Rows.group_bits in
+  if limit >= lo + Rows.group_bits then -1
+  else if limit <= lo then 0
+  else (1 lsl (limit - lo)) - 1
 
-(* Popcount of the padding bits [m, 8*stride), excluding the kill bit
-   at position m; also reports whether the kill bit itself is set. *)
-let padding_state blob ~slot ~stride ~m =
-  let base = slot * stride in
-  let kill_byte = m lsr 3 in
-  let kill_mask = 1 lsl (m land 7) in
-  let kill_set = Char.code (Bytes.get blob (base + kill_byte)) land kill_mask <> 0 in
-  let stray = ref 0 in
-  for i = m lsr 3 to stride - 1 do
-    let b = Char.code (Bytes.get blob (base + i)) in
-    let live_mask = if i = m lsr 3 then (1 lsl (m land 7)) - 1 else 0 in
-    let pad = b land lnot live_mask land 0xff in
-    let pad = if i = kill_byte then pad land lnot kill_mask land 0xff else pad in
-    stray := !stray + popcount_byte pad
+(* Popcount of the live bits [0, m) of the row at [off]. *)
+let live_popcount rows ~off ~groups ~m =
+  let c = ref 0 in
+  for g = 0 to groups - 1 do
+    c := popcount (rows.(off + g) land below ~limit:m g) !c
   done;
-  (kill_set, !stray)
+  !c
 
-(* The row-major layout both compiled engines share, abstracted over
-   which engine's view it came from so the row checks run once. *)
-type rowview = {
-  rv_m : int;
-  rv_d : int;
-  rv_k_for_table : int array;
-  rv_words : int;
-  rv_stride : int;
-  rv_data_len : int;
-  rv_n_ports : int;
-  rv_up : bool array;
-  rv_out_index : int array;
-  rv_phys : Bytes.t array;
-  rv_in_tags : Bytes.t array;
-  rv_blocks : Bytes.t array;
-  rv_block_off : int array array;
-  rv_n_virt : int;
-  rv_virt : Bytes.t array;
-  rv_v_out_off : int array;
-  rv_v_out_ports : int array;
-  rv_local : Bytes.t array;
-  rv_svc : Bytes.t array;
-  rv_svc_names : string array;
-  rv_stitch : Bytes.t array;
-  rv_stitch_partition : int array;
-  rv_stitch_next : int array;
-  rv_forward_cap : int;
-  rv_services_cap : int;
-  rv_stitch_cap : int;
-  rv_seen_cap : int;
-}
-
-let rowview_of_fastpath (v : Fastpath.view) =
-  {
-    rv_m = v.Fastpath.view_m;
-    rv_d = v.Fastpath.view_d;
-    rv_k_for_table = v.Fastpath.view_k_for_table;
-    rv_words = v.Fastpath.view_words;
-    rv_stride = v.Fastpath.view_stride;
-    rv_data_len = v.Fastpath.view_data_len;
-    rv_n_ports = v.Fastpath.view_n_ports;
-    rv_up = v.Fastpath.view_up;
-    rv_out_index = v.Fastpath.view_out_index;
-    rv_phys = v.Fastpath.view_phys;
-    rv_in_tags = v.Fastpath.view_in_tags;
-    rv_blocks = v.Fastpath.view_blocks;
-    rv_block_off = v.Fastpath.view_block_off;
-    rv_n_virt = v.Fastpath.view_n_virt;
-    rv_virt = v.Fastpath.view_virt;
-    rv_v_out_off = v.Fastpath.view_v_out_off;
-    rv_v_out_ports = v.Fastpath.view_v_out_ports;
-    rv_local = v.Fastpath.view_local;
-    rv_svc = v.Fastpath.view_svc;
-    rv_svc_names = v.Fastpath.view_svc_names;
-    rv_stitch = v.Fastpath.view_stitch;
-    rv_stitch_partition = v.Fastpath.view_stitch_partition;
-    rv_stitch_next = v.Fastpath.view_stitch_next;
-    rv_forward_cap = v.Fastpath.view_forward_cap;
-    rv_services_cap = v.Fastpath.view_services_cap;
-    rv_stitch_cap = v.Fastpath.view_stitch_cap;
-    rv_seen_cap = v.Fastpath.view_seen_cap;
-  }
-
-let rowview_of_bitsliced (v : Bitsliced.view) =
-  {
-    rv_m = v.Bitsliced.view_m;
-    rv_d = v.Bitsliced.view_d;
-    rv_k_for_table = v.Bitsliced.view_k_for_table;
-    rv_words = v.Bitsliced.view_words;
-    rv_stride = v.Bitsliced.view_stride;
-    rv_data_len = v.Bitsliced.view_data_len;
-    rv_n_ports = v.Bitsliced.view_n_ports;
-    rv_up = v.Bitsliced.view_up;
-    rv_out_index = v.Bitsliced.view_out_index;
-    rv_phys = v.Bitsliced.view_phys;
-    rv_in_tags = v.Bitsliced.view_in_tags;
-    rv_blocks = v.Bitsliced.view_blocks;
-    rv_block_off = v.Bitsliced.view_block_off;
-    rv_n_virt = v.Bitsliced.view_n_virt;
-    rv_virt = v.Bitsliced.view_virt;
-    rv_v_out_off = v.Bitsliced.view_v_out_off;
-    rv_v_out_ports = v.Bitsliced.view_v_out_ports;
-    rv_local = v.Bitsliced.view_local;
-    rv_svc = v.Bitsliced.view_svc;
-    rv_svc_names = v.Bitsliced.view_svc_names;
-    rv_stitch = v.Bitsliced.view_stitch;
-    rv_stitch_partition = v.Bitsliced.view_stitch_partition;
-    rv_stitch_next = v.Bitsliced.view_stitch_next;
-    rv_forward_cap = v.Bitsliced.view_forward_cap;
-    rv_services_cap = v.Bitsliced.view_services_cap;
-    rv_stitch_cap = v.Bitsliced.view_stitch_cap;
-    rv_seen_cap = v.Bitsliced.view_seen_cap;
-  }
+(* Whether the kill bit (position m) is set, and the popcount of the
+   bits beyond it. *)
+let padding_state rows ~off ~groups ~m =
+  let stray = ref 0 in
+  for g = 0 to groups - 1 do
+    stray :=
+      popcount (rows.(off + g) land lnot (below ~limit:(m + 1) g)) !stray
+  done;
+  (Rows.get_bit rows ~off m, !stray)
 
 type flagger =
   ?table:int -> ?entry:string -> ?index:int -> ?offset:int -> string -> string -> unit
 
-let check_rows (flag : flagger) v =
-  let m = v.rv_m in
-  let d = v.rv_d in
-  let words = v.rv_words in
-  let stride = v.rv_stride in
-  let n_ports = v.rv_n_ports in
-  let n_virt = v.rv_n_virt in
-  let n_svc = Array.length v.rv_svc_names in
-  let n_stitch = Array.length v.rv_stitch_next in
-  (* Geometry: the stride layout the hot loops assume.  Entries always
-     carry at least one spare word bit so the kill bit exists. *)
+(* The decision-buffer capacities next to the rows they must hold. *)
+type caps = { forward : int; services : int; stitches : int; seen : int }
+
+let check_rows (flag : flagger) (v : Rows.t) caps =
+  let m = v.Rows.m in
+  let d = v.Rows.d in
+  let groups = v.Rows.groups in
+  let n_ports = v.Rows.n_ports in
+  let n_virt = v.Rows.n_virt in
+  let n_svc = Array.length v.Rows.svc_names in
+  let n_stitch = Array.length v.Rows.stitch_next in
+  (* Geometry: the packed layout the hot loops assume.  Rows always
+     carry at least one spare bit so the kill bit exists. *)
   if m <= 0 then flag "geometry" (Printf.sprintf "non-positive width m=%d" m);
   if d <= 0 then flag "geometry" (Printf.sprintf "non-positive table count d=%d" d);
-  if words <> (m / 64) + 1 then
-    flag "geometry" (Printf.sprintf "words=%d, expected m/64+1=%d" words ((m / 64) + 1));
-  if stride <> 8 * words then
-    flag "geometry" (Printf.sprintf "stride=%d, expected 8*words=%d" stride (8 * words));
-  if v.rv_data_len <> (m + 7) / 8 then
+  if groups <> Rows.groups_for ~m then
     flag "geometry"
-      (Printf.sprintf "data_len=%d, expected ceil(m/8)=%d" v.rv_data_len ((m + 7) / 8));
-  if Array.length v.rv_k_for_table <> d then
+      (Printf.sprintf "groups=%d, expected ceil((m+1)/63)=%d" groups
+         (Rows.groups_for ~m));
+  if Array.length v.Rows.k_for_table <> d then
     flag "geometry"
       (Printf.sprintf "k_for_table has %d entries for d=%d tables"
-         (Array.length v.rv_k_for_table)
+         (Array.length v.Rows.k_for_table)
          d);
   Array.iteri
     (fun tbl k ->
       if k <= 0 || k > m then
         flag "geometry" ~table:tbl (Printf.sprintf "k=%d outside (0, m=%d]" k m))
-    v.rv_k_for_table;
+    v.Rows.k_for_table;
   (* d-consistency: every candidate table must be present with the same
      per-kind dimensions. *)
   let expect_tables name arr =
     if Array.length arr <> d then
       flag "d-consistency" ~entry:name
-        (Printf.sprintf "%d per-table blobs for d=%d tables" (Array.length arr) d)
+        (Printf.sprintf "%d per-table row arrays for d=%d tables" (Array.length arr) d)
   in
-  expect_tables "phys" v.rv_phys;
-  expect_tables "in" v.rv_in_tags;
-  expect_tables "block" v.rv_blocks;
-  expect_tables "virt" v.rv_virt;
-  expect_tables "local" v.rv_local;
-  expect_tables "svc" v.rv_svc;
-  expect_tables "stitch" v.rv_stitch;
+  expect_tables "phys" v.Rows.phys;
+  expect_tables "in" v.Rows.in_tags;
+  expect_tables "block" v.Rows.blocks;
+  expect_tables "virt" v.Rows.virt;
+  expect_tables "local" v.Rows.local;
+  expect_tables "svc" v.Rows.svc;
+  expect_tables "stitch" v.Rows.stitch;
   (* Stitch payload arrays ride side by side with the tag rows. *)
-  if Array.length v.rv_stitch_partition <> n_stitch then
+  if Array.length v.Rows.stitch_partition <> n_stitch then
     flag "d-consistency" ~entry:"stitch"
       (Printf.sprintf "partition payloads %d <> stitch entries %d"
-         (Array.length v.rv_stitch_partition)
+         (Array.length v.Rows.stitch_partition)
          n_stitch);
-  if Array.length v.rv_block_off <> d then
+  if Array.length v.Rows.block_off <> d then
     flag "d-consistency" ~entry:"block"
       (Printf.sprintf "%d offset tables for d=%d tables"
-         (Array.length v.rv_block_off)
+         (Array.length v.Rows.block_off)
          d);
   (* Port metadata arrays. *)
-  if Array.length v.rv_up <> n_ports then
+  if Array.length v.Rows.up <> n_ports then
     flag "port-bounds"
-      (Printf.sprintf "up array length %d <> n_ports %d" (Array.length v.rv_up) n_ports);
-  if Array.length v.rv_out_index <> n_ports then
+      (Printf.sprintf "up array length %d <> n_ports %d" (Array.length v.Rows.up) n_ports);
+  if Array.length v.Rows.out_index <> n_ports then
     flag "port-bounds"
       (Printf.sprintf "out_index length %d <> n_ports %d"
-         (Array.length v.rv_out_index)
+         (Array.length v.Rows.out_index)
          n_ports);
   (* Virtual egress indirection: monotone prefix offsets, every egress a
      valid port. *)
-  let voff = v.rv_v_out_off in
+  let voff = v.Rows.v_out_off in
   if Array.length voff <> n_virt + 1 then
     flag "offsets" ~entry:"virt"
       (Printf.sprintf "v_out_off length %d <> n_virt+1=%d" (Array.length voff)
@@ -236,10 +134,10 @@ let check_rows (flag : flagger) v =
         flag "offsets" ~entry:"virt" ~index:i
           (Printf.sprintf "v_out_off decreases: %d then %d" voff.(i) voff.(i + 1))
     done;
-    if Array.length v.rv_v_out_ports <> voff.(n_virt) then
+    if Array.length v.Rows.v_out_ports <> voff.(n_virt) then
       flag "offsets" ~entry:"virt"
         (Printf.sprintf "v_out_ports length %d <> v_out_off.(n_virt)=%d"
-           (Array.length v.rv_v_out_ports)
+           (Array.length v.Rows.v_out_ports)
            voff.(n_virt))
   end;
   Array.iteri
@@ -247,84 +145,82 @@ let check_rows (flag : flagger) v =
       if p < 0 || p >= n_ports then
         flag "port-bounds" ~entry:"virt" ~index:j
           (Printf.sprintf "virtual egress port %d outside [0, %d)" p n_ports))
-    v.rv_v_out_ports;
+    v.Rows.v_out_ports;
   (* Decision buffers must hold the worst-case decision. *)
-  if v.rv_forward_cap < n_ports then
+  if caps.forward < n_ports then
     flag "capacity"
-      (Printf.sprintf "forward buffer %d < n_ports %d" v.rv_forward_cap n_ports);
-  if v.rv_services_cap < n_svc then
+      (Printf.sprintf "forward buffer %d < n_ports %d" caps.forward n_ports);
+  if caps.services < n_svc then
     flag "capacity"
-      (Printf.sprintf "service buffer %d < n_services %d" v.rv_services_cap n_svc);
-  if v.rv_stitch_cap < n_stitch then
+      (Printf.sprintf "service buffer %d < n_services %d" caps.services n_svc);
+  if caps.stitches < n_stitch then
     flag "capacity"
-      (Printf.sprintf "stitch buffer %d < n_stitch %d" v.rv_stitch_cap n_stitch);
-  if v.rv_seen_cap < n_ports then
+      (Printf.sprintf "stitch buffer %d < n_stitch %d" caps.stitches n_stitch);
+  if caps.seen < n_ports then
     flag "capacity"
-      (Printf.sprintf "seen stamps %d < n_ports %d" v.rv_seen_cap n_ports);
-  (* Per-table blob scan: sizes, padding, kill bits, LIT popcounts. *)
-  let tables = min d (Array.length v.rv_phys) in
-  let scan ~entry ~n ~exact_k ~kill_for tbl blob =
-    if Bytes.length blob <> n * stride then
-      flag "blob-size" ~table:tbl ~entry
-        (Printf.sprintf "blob is %d bytes, expected %d entries * stride %d = %d"
-           (Bytes.length blob) n stride (n * stride))
+      (Printf.sprintf "seen stamps %d < n_ports %d" caps.seen n_ports);
+  (* Per-table row scan: sizes, padding, kill bits, LIT popcounts. *)
+  let tables = min d (Array.length v.Rows.phys) in
+  let scan ~entry ~n ~exact_k ~kill_for tbl rows =
+    if Array.length rows <> n * groups then
+      flag "row-size" ~table:tbl ~entry
+        (Printf.sprintf "row array has %d ints, expected %d entries * %d groups = %d"
+           (Array.length rows) n groups (n * groups))
     else
       for slot = 0 to n - 1 do
-        let kill_set, stray = padding_state blob ~slot ~stride ~m in
+        let off = slot * groups in
+        let kill_at = off + (m / Rows.group_bits) in
+        let kill_set, stray = padding_state rows ~off ~groups ~m in
         if stray <> 0 then
-          flag "padding" ~table:tbl ~entry ~index:slot
-            ~offset:((slot * stride) + (m lsr 3))
+          flag "padding" ~table:tbl ~entry ~index:slot ~offset:kill_at
             (Printf.sprintf "%d stray bits set beyond position m=%d" stray m);
         (match kill_for with
         | None ->
           if kill_set then
-            flag "kill-bit" ~table:tbl ~entry ~index:slot
-              ~offset:((slot * stride) + (m lsr 3))
+            flag "kill-bit" ~table:tbl ~entry ~index:slot ~offset:kill_at
               "kill bit set on an entry kind that never carries one"
         | Some down ->
           if kill_set && not (down slot) then
-            flag "kill-bit" ~table:tbl ~entry ~index:slot
-              ~offset:((slot * stride) + (m lsr 3))
+            flag "kill-bit" ~table:tbl ~entry ~index:slot ~offset:kill_at
               "kill bit set but the port is up";
           if (not kill_set) && down slot then
-            flag "kill-bit" ~table:tbl ~entry ~index:slot
-              ~offset:((slot * stride) + (m lsr 3))
+            flag "kill-bit" ~table:tbl ~entry ~index:slot ~offset:kill_at
               "port is down but its kill bit is clear");
         match exact_k with
         | Some k ->
-          let pc = live_popcount blob ~slot ~stride ~m in
+          let pc = live_popcount rows ~off ~groups ~m in
           if pc <> k then
-            flag "popcount" ~table:tbl ~entry ~index:slot ~offset:(slot * stride)
+            flag "popcount" ~table:tbl ~entry ~index:slot ~offset:off
               (Printf.sprintf "LIT has %d live bits, expected k=%d" pc k)
         | None -> ()
       done
   in
   for tbl = 0 to tables - 1 do
     let k =
-      if tbl < Array.length v.rv_k_for_table then Some v.rv_k_for_table.(tbl)
+      if tbl < Array.length v.Rows.k_for_table then Some v.Rows.k_for_table.(tbl)
       else None
     in
-    let down slot = slot < Array.length v.rv_up && not v.rv_up.(slot) in
+    let down slot = slot < Array.length v.Rows.up && not v.Rows.up.(slot) in
     scan ~entry:"phys" ~n:n_ports ~exact_k:k ~kill_for:(Some down) tbl
-      v.rv_phys.(tbl);
-    if tbl < Array.length v.rv_in_tags then
-      scan ~entry:"in" ~n:n_ports ~exact_k:k ~kill_for:None tbl v.rv_in_tags.(tbl);
-    if tbl < Array.length v.rv_local then
-      scan ~entry:"local" ~n:1 ~exact_k:k ~kill_for:None tbl v.rv_local.(tbl);
-    if tbl < Array.length v.rv_svc then
-      scan ~entry:"svc" ~n:n_svc ~exact_k:k ~kill_for:None tbl v.rv_svc.(tbl);
+      v.Rows.phys.(tbl);
+    if tbl < Array.length v.Rows.in_tags then
+      scan ~entry:"in" ~n:n_ports ~exact_k:k ~kill_for:None tbl v.Rows.in_tags.(tbl);
+    if tbl < Array.length v.Rows.local then
+      scan ~entry:"local" ~n:1 ~exact_k:k ~kill_for:None tbl v.Rows.local.(tbl);
+    if tbl < Array.length v.Rows.svc then
+      scan ~entry:"svc" ~n:n_svc ~exact_k:k ~kill_for:None tbl v.Rows.svc.(tbl);
     (* Stitch tags are single egress LITs, so the exact-k law holds —
        at the strengthened egress bit count, not the link LITs' k. *)
-    if tbl < Array.length v.rv_stitch then
+    if tbl < Array.length v.Rows.stitch then
       scan ~entry:"stitch" ~n:n_stitch
         ~exact_k:(Option.map (Partition.egress_k ~m) k)
-        ~kill_for:None tbl v.rv_stitch.(tbl);
+        ~kill_for:None tbl v.Rows.stitch.(tbl);
     (* Virtual entries are ORs of whole trees and block entries are
        arbitrary veto patterns, so only layout invariants apply. *)
-    if tbl < Array.length v.rv_virt then
-      scan ~entry:"virt" ~n:n_virt ~exact_k:None ~kill_for:None tbl v.rv_virt.(tbl);
-    if tbl < Array.length v.rv_blocks && tbl < Array.length v.rv_block_off then begin
-      let off = v.rv_block_off.(tbl) in
+    if tbl < Array.length v.Rows.virt then
+      scan ~entry:"virt" ~n:n_virt ~exact_k:None ~kill_for:None tbl v.Rows.virt.(tbl);
+    if tbl < Array.length v.Rows.blocks && tbl < Array.length v.Rows.block_off then begin
+      let off = v.Rows.block_off.(tbl) in
       if Array.length off <> n_ports + 1 then
         flag "offsets" ~table:tbl ~entry:"block"
           (Printf.sprintf "offset table length %d <> n_ports+1=%d" (Array.length off)
@@ -339,7 +235,7 @@ let check_rows (flag : flagger) v =
               (Printf.sprintf "block_off decreases: %d then %d" off.(p) off.(p + 1))
         done;
         scan ~entry:"block" ~n:off.(n_ports) ~exact_k:None ~kill_for:None tbl
-          v.rv_blocks.(tbl)
+          v.Rows.blocks.(tbl)
       end
     end
   done
@@ -350,12 +246,18 @@ let audit ?(check_digest = true) fp =
   let flag ?(table = -1) ?(entry = "") ?(index = -1) ?(offset = -1) check detail =
     out := { check; table; entry; index; offset; detail } :: !out
   in
-  check_rows flag (rowview_of_fastpath v);
+  check_rows flag v.Fastpath.view_rows
+    {
+      forward = v.Fastpath.view_forward_cap;
+      services = v.Fastpath.view_services_cap;
+      stitches = v.Fastpath.view_stitch_cap;
+      seen = v.Fastpath.view_seen_cap;
+    };
   if check_digest then begin
     let now = Fastpath.digest fp in
     if now <> v.Fastpath.view_digest then
       flag "digest"
-        (Printf.sprintf "blob digest %#x no longer matches the compile-time %#x" now
+        (Printf.sprintf "digest %#x no longer matches the compile-time %#x" now
            v.Fastpath.view_digest)
   end;
   List.rev !out
@@ -365,18 +267,17 @@ let audit_ok ?check_digest fp =
 
 (* ---- transposed-layout checks ------------------------------------- *)
 
-(* One column word recomputed from the row blob: bit [slot - 64*blk] is
+(* One column word recomputed from the rows: bit [slot - 64*blk] is
    set iff row [slot] sets filter-bit [b]. *)
-let expected_col rows ~stride ~n ~b ~blk =
+let expected_col rows ~groups ~n ~b ~blk =
   let w = ref 0L in
   let lo = blk * 64 in
   let hi = min n (lo + 64) in
-  for slot = lo to hi - 1 do
-    if
-      Char.code (Bytes.get rows ((slot * stride) + (b lsr 3))) land (1 lsl (b land 7))
-      <> 0
-    then w := Int64.logor !w (Int64.shift_left 1L (slot - lo))
-  done;
+  if b < groups * Rows.group_bits then
+    for slot = lo to hi - 1 do
+      if Rows.get_bit rows ~off:(slot * groups) b then
+        w := Int64.logor !w (Int64.shift_left 1L (slot - lo))
+    done;
   !w
 
 let audit_bitsliced ?(check_digest = true) bs =
@@ -385,9 +286,20 @@ let audit_bitsliced ?(check_digest = true) bs =
   let flag ?(table = -1) ?(entry = "") ?(index = -1) ?(offset = -1) check detail =
     out := { check; table; entry; index; offset; detail } :: !out
   in
-  let rv = rowview_of_bitsliced v in
-  check_rows flag rv;
-  let stride = rv.rv_stride in
+  let rv = v.Bitsliced.view_rows in
+  check_rows flag rv
+    {
+      forward = v.Bitsliced.view_forward_cap;
+      services = v.Bitsliced.view_services_cap;
+      stitches = v.Bitsliced.view_stitch_cap;
+      seen = v.Bitsliced.view_seen_cap;
+    };
+  let groups = rv.Rows.groups in
+  let stride = v.Bitsliced.view_stride in
+  if stride <> Rows.stride_for ~m:rv.Rows.m then
+    flag "geometry"
+      (Printf.sprintf "stride=%d, expected 8*(m/64+1)=%d" stride
+         (Rows.stride_for ~m:rv.Rows.m));
   let ncols = stride * 8 in
   let bits = v.Bitsliced.view_plane_bits in
   if bits <> 4 && bits <> 8 then
@@ -395,12 +307,12 @@ let audit_bitsliced ?(check_digest = true) bs =
   else begin
     let npos = ncols / bits in
     let vmask = (1 lsl bits) - 1 in
-    let n_svc = Array.length rv.rv_svc_names in
+    let n_svc = Array.length rv.Rows.svc_names in
     let slices = v.Bitsliced.view_slices in
-    if Array.length slices <> rv.rv_d then
+    if Array.length slices <> rv.Rows.d then
       flag "d-consistency" ~entry:"slices"
         (Printf.sprintf "%d per-table slice sets for d=%d tables"
-           (Array.length slices) rv.rv_d);
+           (Array.length slices) rv.Rows.d);
     Array.iteri
       (fun tbl per_table ->
         Array.iter
@@ -409,24 +321,24 @@ let audit_bitsliced ?(check_digest = true) bs =
             let expect_n, rows =
               match entry with
               | "phys" ->
-                ( rv.rv_n_ports,
-                  if tbl < Array.length rv.rv_phys then Some rv.rv_phys.(tbl)
+                ( rv.Rows.n_ports,
+                  if tbl < Array.length rv.Rows.phys then Some rv.Rows.phys.(tbl)
                   else None )
               | "in" ->
-                ( rv.rv_n_ports,
-                  if tbl < Array.length rv.rv_in_tags then Some rv.rv_in_tags.(tbl)
+                ( rv.Rows.n_ports,
+                  if tbl < Array.length rv.Rows.in_tags then Some rv.Rows.in_tags.(tbl)
                   else None )
               | "virt" ->
-                ( rv.rv_n_virt,
-                  if tbl < Array.length rv.rv_virt then Some rv.rv_virt.(tbl)
+                ( rv.Rows.n_virt,
+                  if tbl < Array.length rv.Rows.virt then Some rv.Rows.virt.(tbl)
                   else None )
               | "stitch" ->
-                ( Array.length rv.rv_stitch_next,
-                  if tbl < Array.length rv.rv_stitch then Some rv.rv_stitch.(tbl)
+                ( Array.length rv.Rows.stitch_next,
+                  if tbl < Array.length rv.Rows.stitch then Some rv.Rows.stitch.(tbl)
                   else None )
               | _ ->
                 ( n_svc,
-                  if tbl < Array.length rv.rv_svc then Some rv.rv_svc.(tbl)
+                  if tbl < Array.length rv.Rows.svc then Some rv.Rows.svc.(tbl)
                   else None )
             in
             let n = sv.Bitsliced.sv_n in
@@ -474,19 +386,19 @@ let audit_bitsliced ?(check_digest = true) bs =
             in
             let rows_ok =
               match rows with
-              | Some r -> Bytes.length r = n * stride
+              | Some r -> Array.length r = n * groups
               | None -> false
             in
             if sizes_ok then begin
               (* Column/row mirror: every canonical column word must be
-                 the exact transpose of the row blob. *)
+                 the exact transpose of the rows. *)
               (match rows with
               | Some rows when rows_ok ->
                 for b = 0 to ncols - 1 do
                   for blk = 0 to blocks - 1 do
                     let off = ((b * blocks) + blk) * 8 in
                     let actual = Bytes.get_int64_le sv.Bitsliced.sv_cols off in
-                    let expected = expected_col rows ~stride ~n ~b ~blk in
+                    let expected = expected_col rows ~groups ~n ~b ~blk in
                     if not (Int64.equal actual expected) then
                       flag "col-mirror" ~table:tbl ~entry ~index:blk ~offset:off
                         (Printf.sprintf
@@ -497,13 +409,13 @@ let audit_bitsliced ?(check_digest = true) bs =
               | _ -> ());
               (* Kill column: transposed, column m is exactly the down
                  ports. *)
-              if entry = "phys" && Array.length rv.rv_up = n then begin
-                let b = rv.rv_m in
+              if entry = "phys" && Array.length rv.Rows.up = n then begin
+                let b = rv.Rows.m in
                 for blk = 0 to blocks - 1 do
                   let expected = ref 0L in
                   let lo = blk * 64 in
                   for slot = lo to min n (lo + 64) - 1 do
-                    if not rv.rv_up.(slot) then
+                    if not rv.Rows.up.(slot) then
                       expected := Int64.logor !expected (Int64.shift_left 1L (slot - lo))
                   done;
                   let off = ((b * blocks) + blk) * 8 in
@@ -611,7 +523,7 @@ let audit_bitsliced ?(check_digest = true) bs =
     let now = Bitsliced.digest bs in
     if now <> v.Bitsliced.view_digest then
       flag "digest"
-        (Printf.sprintf "blob digest %#x no longer matches the compile-time %#x" now
+        (Printf.sprintf "digest %#x no longer matches the compile-time %#x" now
            v.Bitsliced.view_digest)
   end;
   List.rev !out

@@ -1,24 +1,25 @@
 (** Semantic invariant auditor for compiled fast-path state.
 
-    The compiled engine ({!Lipsin_forwarding.Fastpath}) trades safety
-    for speed: its hot loop assumes a [stride = 8 * (m/64 + 1)]-byte
-    entry layout, zero padding beyond bit [m], a kill bit exactly at
-    position [m] on down links, LITs with exactly [k] live bits, and
-    in-bounds indirection tables.  None of that is visible to the type
-    system, and in-packet-Bloom-filter systems historically fail by
-    silent encoding drift rather than algorithmic error — so this module
-    re-derives every invariant structurally from the blob bytes.
+    The compiled engines ({!Lipsin_forwarding.Fastpath},
+    {!Lipsin_forwarding.Bitsliced}) trade safety for speed: their hot
+    loops assume the packed {!Lipsin_forwarding.Rows} layout — [groups =
+    ceil((m+1)/63)] ints per row, zero padding beyond bit [m], a kill
+    bit exactly at position [m] on down links, LITs with exactly [k]
+    live bits, and in-bounds indirection tables.  None of that is
+    visible to the type system, and in-packet-Bloom-filter systems
+    historically fail by silent encoding drift rather than algorithmic
+    error — so this module re-derives every invariant structurally from
+    the row ints.
 
     Checks, by [check] name:
-    - ["geometry"] — [words], [stride], [data_len] and [k] consistent
-      with [m] and [d];
-    - ["d-consistency"] — every per-table array has one blob per
+    - ["geometry"] — [groups] and [k] consistent with [m] and [d];
+    - ["d-consistency"] — every per-table array has one row array per
       candidate table;
-    - ["blob-size"] — each blob is exactly [entries * stride] bytes;
+    - ["row-size"] — each row array is exactly [entries * groups] ints;
     - ["offsets"] — block and virtual-egress prefix tables start at 0
       and are monotone, and the flattened arrays match their totals;
-    - ["padding"] — no stray bit at or beyond position [m] (the scratch
-      filter keeps padding zero, so a stray bit could silently veto
+    - ["padding"] — no stray bit beyond position [m] (a loaded filter
+      keeps its padding zero, so a stray bit could silently veto
       matches);
     - ["kill-bit"] — bit [m] is set on a physical entry iff its port is
       down, and never on any other entry kind;
@@ -30,19 +31,19 @@
       arrays stay inside [\[0, n_ports)];
     - ["capacity"] — the preallocated decision buffers hold the
       worst-case decision;
-    - ["digest"] — the FNV-1a fingerprint recorded at compile time still
-      matches the blob bytes.  This catches {e any} single-byte
-      corruption, including flips inside virtual or block live bits that
-      the structural checks cannot distinguish from a legitimate tree.
+    - ["digest"] — the {!Lipsin_forwarding.Rows.digest} recorded at
+      compile time still matches the rows.  This catches {e any}
+      change to a single row int, including flips inside virtual or
+      block live bits that the structural checks cannot distinguish
+      from a legitimate tree.
 
     {!audit_bitsliced} runs the same row checks against the bit-sliced
-    engine ({!Lipsin_forwarding.Bitsliced}) — its row blobs follow the
-    identical compile contract — and then verifies the transposed
-    layout on top:
+    engine's shared rows and then verifies the transposed layout on
+    top:
     - ["col-size"] — slice dimensions (entries, column blocks, plane
       sub-blocks) and blob/array lengths agree with the row geometry;
     - ["col-mirror"] — every canonical column word is the exact
-      transpose of the row blob;
+      transpose of the rows;
     - ["kill-column"] — transposed, column [m] of a physical slice is
       exactly the set of down ports;
     - ["col-used"] — the used map marks precisely the nonzero columns;
@@ -63,19 +64,20 @@ type violation = {
   entry : string;
       (** Entry kind: ["phys"], ["in"], ["block"], ["virt"], ["local"],
           ["svc"], or [""] if not entry-specific. *)
-  index : int;  (** Entry slot within the blob, or [-1]. *)
+  index : int;  (** Entry slot within the table, or [-1]. *)
   offset : int;
-      (** Byte offset of the finding inside the flagged blob (word
-          offset for plane findings), or [-1] when the finding is not
-          byte-addressable.  Together with [table] this makes layout
-          findings on multi-table blobs actionable. *)
+      (** Position of the finding inside the flagged array — the int
+          index for rows and planes, the byte offset for column blobs —
+          or [-1] when the finding has no position.  Together with
+          [table] this makes layout findings on multi-table arrays
+          actionable. *)
   detail : string;  (** Human-readable explanation. *)
 }
 
 val audit : ?check_digest:bool -> Lipsin_forwarding.Fastpath.t -> violation list
 (** Runs every check and returns all violations (empty = sound).
     [check_digest] (default [true]) additionally compares the recorded
-    compile-time digest against the current blob bytes; pass [false] to
+    compile-time digest against the current rows; pass [false] to
     exercise the purely structural checks. *)
 
 val audit_ok : ?check_digest:bool -> Lipsin_forwarding.Fastpath.t -> bool

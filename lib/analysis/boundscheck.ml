@@ -5,7 +5,7 @@
    The abstract domain is conjunctions of integer-linear inequalities
    [L >= 0] where L is a degree-<=2 polynomial over symbolic values:
    function parameters, let-bound values, loop counters, record fields
-   (["t.stride"]), array/bytes lengths (["len:t.zf"]) and array element
+   (["t.stride"]), array/bytes lengths (["len:t.vals"]) and array element
    values (["t.block_off[p]"]).  Facts come from four places:
 
    - control flow: comparison guards, for-loop ranges, while conditions
@@ -13,10 +13,10 @@
      along the surviving path;
    - let shapes: [let words = len lsr 3] and friends generate the
      scaled facts the shift/div/mask semantics justify;
-   - blob-layout invariants that Analysis.Audit already enforces at
-     runtime (stride = 8*words, per-table blob length = n_ports*stride,
-     plane widths, ...), trusted as environment facts and instantiated
-     when a field of an engine record is touched;
+   - row-layout invariants that Analysis.Audit already enforces at
+     runtime (per-table row length = n_ports*groups, one table per
+     candidate, plane widths, ...), trusted as environment facts and
+     instantiated when a field of an engine record is touched;
    - toplevel constant arrays ([let small = Array.init 1025 ...]).
 
    Mutation is handled by sign-aware fact stripping: a write to a
@@ -258,7 +258,7 @@ let bare_key sc (p : Path.t) = Typed.key_of_path ~aliases:sc.aliases p
 
 (* ---- layout invariants ----------------------------------------------- *)
 
-(* Trusted mirrors of what Analysis.Audit enforces on compiled blobs.
+(* Trusted mirrors of what Analysis.Audit enforces on compiled rows.
    Instantiated once per (type, base path) when a field is accessed. *)
 
 let fld b f = lsym (b ^ "." ^ f)
@@ -286,49 +286,37 @@ let layout_table : (string * (string -> fact list * (string * lin) list)) list
           "mlocal"; "msvc"; "mstitch" ],
       [] )
   in
-  let engine_geometry b =
-    eqf (fld b "stride") (lscale 8 (fld b "words"))
-    @ gef (fld b "words") (lconst 1)
-    @ gef (fld b "d") (lconst 1)
-    @ gef (fld b "n_ports") lzero
-    @ gef (fld b "n_virt") lzero
-    @ gef (fld b "data_len") lzero
-    @ gef (fld b "stride") (fld b "data_len")
-    @ eqf (flen b "zf") (fld b "stride")
-    @ eqf (flen b "zlo") (fld b "words")
-    @ eqf (flen b "zhi") (fld b "words")
-    @ gef (flen b "seen") (fld b "n_ports")
-    @ List.concat_map
-        (fun f -> eqf (flen b f) (fld b "d"))
-        [ "phys"; "in_tags"; "blocks"; "block_off"; "virt"; "local"; "svc";
-          "stitch"; "k_for_table" ]
-    @ List.concat_map
-        (fun f -> eqf (flen b f) (fld b "n_ports"))
-        [ "out_links"; "out_index"; "up" ]
-    @ eqf (flen b "v_out_off") (ladd (fld b "n_virt") (lconst 1))
-  in
-  let stride_elems b =
-    let n_stride f n = (b ^ "." ^ f ^ "[", Option.get (lmul n (fld b "stride"))) in
-    [
-      n_stride "phys" (fld b "n_ports");
-      n_stride "in_tags" (fld b "n_ports");
-      n_stride "virt" (fld b "n_virt");
-      n_stride "svc" (flen b "svc_names");
-      n_stride "stitch" (flen b "stitch_next");
-      (b ^ ".block_off[", ladd (fld b "n_ports") (lconst 1));
-    ]
-  in
-  let fastpath b =
-    ( engine_geometry b,
-      stride_elems b
-      (* local[] holds exactly one stride-wide entry *)
-      @ [ (b ^ ".local[", fld b "stride") ] )
-  in
-  let bitsliced b =
-    let facts, elems = fastpath b in
-    ( facts
+  let rows b =
+    ( gef (fld b "groups") (lconst 1)
+      @ gef (fld b "d") (lconst 1)
+      @ gef (fld b "n_ports") lzero
+      @ gef (fld b "n_virt") lzero
       @ List.concat_map
           (fun f -> eqf (flen b f) (fld b "d"))
+          [ "phys"; "in_tags"; "blocks"; "block_off"; "virt"; "local"; "svc";
+            "stitch"; "k_for_table" ]
+      @ List.concat_map
+          (fun f -> eqf (flen b f) (fld b "n_ports"))
+          [ "out_links"; "out_index"; "up" ]
+      @ eqf (flen b "v_out_off") (ladd (fld b "n_virt") (lconst 1)),
+      let n_groups f n = (b ^ "." ^ f ^ "[", Option.get (lmul n (fld b "groups"))) in
+      [
+        n_groups "phys" (fld b "n_ports");
+        n_groups "in_tags" (fld b "n_ports");
+        n_groups "virt" (fld b "n_virt");
+        n_groups "svc" (flen b "svc_names");
+        n_groups "stitch" (flen b "stitch_next");
+        (* local[] holds exactly one row *)
+        (b ^ ".local[", fld b "groups");
+        (b ^ ".block_off[", ladd (fld b "n_ports") (lconst 1));
+      ] )
+  in
+  let bitsliced b =
+    let r = b ^ ".rows" in
+    ( gef (flen b "seen") (fld r "n_ports")
+      @ gef (fld b "stride") (fld b "data_len")
+      @ List.concat_map
+          (fun f -> eqf (flen b f) (fld r "d"))
           [ "sl_phys"; "sl_in"; "sl_virt"; "sl_svc"; "sl_stitch" ]
       (* npos = 8 * stride / plane_bits with plane_bits in {4, 8}; only
          the division-free consequences are affine *)
@@ -338,12 +326,11 @@ let layout_table : (string * (string -> fact list * (string * lin) list)) list
       @ gef (fld b "plane_bits") (lconst 4)
       @ gef (lconst 8) (fld b "plane_bits")
       @ eqf (flen b "batch_ok") (fld b "batch_cap")
+      @ eqf (flen b "batch_filters") (fld b "batch_cap")
       @ gef (fld b "batch_cap") (lconst 1)
-      @ eqf (flen b "batch_zf")
-          (Option.get (lmul (fld b "batch_cap") (fld b "stride")))
       @ eqf (flen b "batch_vals")
           (Option.get (lmul (fld b "batch_cap") (fld b "npos"))),
-      elems )
+      [] )
   in
   let slice b =
     ( eqf (flen b "sl_valid") (fld b "sl_sub")
@@ -353,10 +340,9 @@ let layout_table : (string * (string -> fact list * (string * lin) list)) list
   in
   [
     ("Bitvec.t", bitvec);
-    ("Fastpath.t", fastpath);
+    ("Rows.t", rows);
     ("Bitsliced.t", bitsliced);
     ("Bitsliced.slice", slice);
-    ("Fastpath.meters", meters);
     ("Bitsliced.meters", meters);
   ]
 

@@ -35,18 +35,11 @@ val reset : t -> unit
 val popcount : t -> int
 (** Number of set bits. *)
 
-val popcount56 : int -> int
-(** Set bits in a native int holding at most 56 significant bits — the
-    SWAR kernel under {!popcount_bytes}, exported so compiled engines
-    can count a 4-byte group (e.g. one [Idx.bget_u32] read) without a
-    second pass over the bytes.  Bits 56..62, if set, are counted
-    incorrectly: callers must mask to 56 bits first. *)
-
 val popcount_bytes : bytes -> pos:int -> len:int -> int
 (** [popcount_bytes b ~pos ~len] counts the set bits in the byte range
     [pos .. pos+len-1] of [b] with 64-bit SWAR arithmetic (full words
-    first, then one SWAR pass over the assembled tail) — the shared
-    popcount primitive for the compiled engines and the blob auditor.
+    first, then one SWAR pass over the assembled tail) — the kernel
+    under {!popcount}.
     @raise Invalid_argument if the range does not fit in [b]. *)
 
 val fill_ratio : t -> float

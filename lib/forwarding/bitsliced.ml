@@ -1,6 +1,3 @@
-module Idx = Lipsin_bitvec.Idx
-module Bitvec = Lipsin_bitvec.Bitvec
-module Lit = Lipsin_bloom.Lit
 module Zfilter = Lipsin_bloom.Zfilter
 module Graph = Lipsin_topology.Graph
 module Obs = Lipsin_obs.Obs
@@ -91,7 +88,7 @@ let make_meters () =
     hadm = Obs.Histogram.local h_admitted;
   }
 
-let bump c = Idx.set c 0 (Idx.get c 0 + 1)
+let bump c = Array.set c 0 (Array.get c 0 + 1)
 
 type decision = {
   mutable forward : int array;
@@ -111,17 +108,18 @@ let drop_fill = 1
 let drop_loop = 2
 let drop_bad_table = 3
 
-(* Engine crossover, re-measured after the certified-index conversion
-   (BENCH_PR8): dropping the bounds checks sped the scalar fast path up
-   more at low degree — its per-port row loop is all compares — moving
-   the crossover from the (12, 16] bracket of the BENCH_PR5 sweep to
-   (16, 32]: at 16 ports the scalar engine now wins (0.88x) and the
-   bit-sliced engine leads from 32 ports up (1.18x at 32, ~2x at 64+).
-   [`Auto] picks the bit-sliced engine from [auto_threshold] ports, set
-   mid-bracket; the byte-plane (8-bit sweep) layout only pays for
-   itself once the sweep dominates, from [byte_plane_threshold] ports —
-   one full column block. *)
-let auto_threshold = 24
+(* Engine crossover, re-measured after the packed-row change (both
+   engines' hot loops now stay inside their own module, so dune's
+   -opaque dev profile no longer turns every accessor into a call): on
+   the star-hub sweep the scalar engine wins up to 32 ports (about 250
+   vs 360 ns) and the bit-sliced engine from 64 up (about 320 vs 420 ns
+   at 64, 4x at 256).  [`Auto] picks the bit-sliced engine from
+   [auto_threshold] ports, set at the top of the (8, 32] range the
+   partition suite pins, the closest allowed value to the (32, 64]
+   crossover; the byte-plane (8-bit sweep) layout only pays for itself
+   once the sweep dominates, from [byte_plane_threshold] ports — one
+   full column block. *)
+let auto_threshold = 32
 let byte_plane_threshold = 64
 
 (* ------------------------------------------------------------------ *)
@@ -165,7 +163,21 @@ type slice = {
   sl_valid : int array;  (* per sub-block: mask of slots < n *)
 }
 
-let build_slice ~stride ~bits ~n blob =
+(* Index of the single set bit of [low] (a power of two, bit 62
+   included), by binary search. *)
+let bit_index low =
+  let n = ref 0 and x = ref low in
+  if !x land 0xFFFFFFFF = 0 then begin n := 32; x := !x lsr 32 end;
+  if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
+  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x land 0x1 = 0 then incr n;
+  !n
+
+(* Transposes [n] packed rows of [groups] ints into a slice: every set
+   row bit b of slot s sets bit s of column b. *)
+let build_slice ~stride ~bits ~groups ~n rows =
   let ncols = stride * 8 in
   let blocks = (n + 63) lsr 6 in
   let sub = (n + 31) lsr 5 in
@@ -173,20 +185,18 @@ let build_slice ~stride ~bits ~n blob =
   let used = Bytes.make stride '\000' in
   for slot = 0 to n - 1 do
     let blk = slot lsr 6 and bit = slot land 63 in
-    for i = 0 to stride - 1 do
-      let byte = Char.code (Bytes.get blob ((slot * stride) + i)) in
-      if byte <> 0 then
-        for j = 0 to 7 do
-          if byte land (1 lsl j) <> 0 then begin
-            let b = (i lsl 3) lor j in
-            let off = ((b * blocks) + blk) lsl 3 in
-            Bytes.set_int64_le cols off
-              (Int64.logor (Bytes.get_int64_le cols off)
-                 (Int64.shift_left 1L bit));
-            Bytes.set used i
-              (Char.chr (Char.code (Bytes.get used i) lor (1 lsl j)))
-          end
-        done
+    for g = 0 to groups - 1 do
+      let x = ref rows.((slot * groups) + g) in
+      while !x <> 0 do
+        let low = !x land - !x in
+        x := !x lxor low;
+        let b = (g * Rows.group_bits) + bit_index low in
+        let off = ((b * blocks) + blk) lsl 3 in
+        Bytes.set_int64_le cols off
+          (Int64.logor (Bytes.get_int64_le cols off) (Int64.shift_left 1L bit));
+        Bytes.set used (b lsr 3)
+          (Char.chr (Char.code (Bytes.get used (b lsr 3)) lor (1 lsl (b land 7))))
+      done
     done
   done;
   let npos = ncols / bits in
@@ -241,37 +251,12 @@ let build_slice ~stride ~bits ~n blob =
 
 type t = {
   node : Graph.node;
-  m : int;
-  d : int;
-  k_for_table : int array;
-  words : int;  (* 64-bit words per row entry; >= m/64 + 1 (kill bit) *)
-  stride : int;  (* bytes per row entry = 8 * words *)
-  data_len : int;  (* live filter bytes = ceil(m/8) *)
+  rows : Rows.t;  (* the shared row layout: block/local tests, Audit *)
+  stride : int;  (* bytes of the padded filter copy; 8 * stride columns *)
+  data_len : int;  (* live filter bytes = ceil(m/8): the loop-cache key *)
   plane_bits : int;  (* 4 or 8: filter bits consumed per sweep step *)
   npos : int;  (* plane positions per filter = stride * 8 / plane_bits *)
-  fill_limit : float;
   fill_threshold : int;  (* max popcount passing the fill limit *)
-  n_ports : int;
-  out_links : Graph.link array;
-  out_index : int array;
-  up : bool array;
-  (* Row-major blobs: same layout (and same compile contract) as
-     Fastpath's — the transpose source, the block/local test operands,
-     and one side of Audit's column/row cross-check. *)
-  phys : Bytes.t array;
-  in_tags : Bytes.t array;
-  blocks : Bytes.t array;
-  block_off : int array array;
-  n_virt : int;
-  virt : Bytes.t array;
-  v_out_off : int array;
-  v_out_ports : int array;
-  local : Bytes.t array;
-  svc : Bytes.t array;
-  svc_names : string array;
-  stitch : Bytes.t array;
-  stitch_partition : int array;
-  stitch_next : int array;
   (* Transposed slices, per table. *)
   sl_phys : slice array;
   sl_in : slice array;
@@ -284,7 +269,7 @@ type t = {
   loop_capacity : int;
   loop_ttl : int;
   mutable tick_count : int;
-  zf : Bytes.t;  (* scratch: current zFilter widened to stride bytes *)
+  scratch : Rows.filter;  (* [decide]'s load target *)
   vals : int array;  (* scratch: the filter cut into plane-index values *)
   dead_phys : int array;  (* scratch dead masks, physical slice *)
   dead_in : int array;  (* scratch dead masks, incoming-LIT slice *)
@@ -292,84 +277,53 @@ type t = {
   seen : int array;
   mutable gen : int;
   decision : decision;
-  (* decide_batch scratch: one chunk of widened filters, plane values
+  (* decide_batch scratch: one chunk of loaded filters, plane values
      and precomputed dead masks, swept position-outer so each plane row
      stays hot across the packets of the chunk. *)
   batch_cap : int;
-  batch_zf : Bytes.t;
+  batch_filters : Rows.filter array;
   batch_vals : int array;
   batch_dead_phys : int array;
   batch_dead_in : int array;
   batch_ok : bool array;
-  mutable blob_digest : int;
+  compile_digest : int;
   obs : meters;
 }
 
 (* Integrity fingerprint Analysis.Audit compares against to catch
-   post-compile corruption — covering the row blobs, the canonical
-   column blobs and every derived array.  Unlike Fastpath's byte-wise
-   FNV-1a, this engine hashes a word at a time (multiply-xorshift over
-   63-bit lanes): the transposed tables are ~50x larger than the row
-   blobs they mirror, and the byte loop dominated compile time at
-   whole-graph delivery scale.  The digest is compared only against
-   its own recomputation, so the function choice is free. *)
-let fnv_offset = 0xcbf29ce484222
-let mix_prime = 0x2545F4914F6CDD1D
-
-let fnv_int h i =
-  let x = (h lxor i) * mix_prime in
-  x lxor (x lsr 32)
-
-let fnv_bytes h blob =
+   post-compile corruption: Rows.digest over the shared rows, extended
+   over the canonical column blobs and every derived array with the same
+   multiply-xorshift step. *)
+let mix_bytes h blob =
   let n = Bytes.length blob in
-  let h = ref (fnv_int h n) in
+  let h = ref (Rows.mix h n) in
   let i = ref 0 in
   while !i + 8 <= n do
     let w = Bytes.get_int64_le blob !i in
     (* Int64.to_int keeps the low 63 bits; fold the top bit in
        separately so no flip is invisible. *)
-    h := fnv_int !h (Int64.to_int w);
-    h := fnv_int !h (Int64.to_int (Int64.shift_right_logical w 62));
+    h := Rows.mix !h (Int64.to_int w);
+    h := Rows.mix !h (Int64.to_int (Int64.shift_right_logical w 62));
     i := !i + 8
   done;
   while !i < n do
-    h := fnv_int !h (Char.code (Bytes.get blob !i));
+    h := Rows.mix !h (Char.code (Bytes.get blob !i));
     incr i
   done;
   !h
 
-let fnv_ints h a =
-  let h = ref h in
-  Array.iter (fun i -> h := fnv_int !h i) a;
-  !h
-
 let digest t =
-  let h = ref fnv_offset in
-  let ints =
-    [ t.m; t.d; t.words; t.stride; t.n_ports; t.n_virt; t.plane_bits;
-      t.fill_threshold ]
-  in
-  List.iter (fun i -> h := fnv_int !h i) ints;
-  h := fnv_ints !h t.k_for_table;
-  let blobs tbl_array = Array.iter (fun b -> h := fnv_bytes !h b) tbl_array in
-  blobs t.phys;
-  blobs t.in_tags;
-  blobs t.blocks;
-  blobs t.virt;
-  blobs t.local;
-  blobs t.svc;
-  blobs t.stitch;
-  h := fnv_ints !h t.stitch_partition;
-  h := fnv_ints !h t.stitch_next;
+  let h = ref (Rows.digest t.rows) in
+  List.iter (fun i -> h := Rows.mix !h i) [ t.stride; t.plane_bits; t.fill_threshold ];
   let slices sls =
     Array.iter
       (fun sl ->
-        h := fnv_int !h sl.sl_n;
-        h := fnv_bytes !h sl.sl_cols;
-        h := fnv_bytes !h sl.sl_used;
-        h := fnv_ints !h sl.sl_active;
-        h := fnv_ints !h sl.sl_plane;
-        h := fnv_ints !h sl.sl_valid)
+        h := Rows.mix !h sl.sl_n;
+        h := mix_bytes !h sl.sl_cols;
+        h := mix_bytes !h sl.sl_used;
+        h := Rows.mix_ints !h sl.sl_active;
+        h := Rows.mix_ints !h sl.sl_plane;
+        h := Rows.mix_ints !h sl.sl_valid)
       sls
   in
   slices t.sl_phys;
@@ -381,174 +335,46 @@ let digest t =
 
 let compile engine =
   let st = Node_engine.state engine in
-  let params = st.Node_engine.state_params in
-  let m = params.Lit.m in
-  let d = params.Lit.d in
-  (* Same row geometry as Fastpath: bit m of the word padding is the
-     kill bit, so a down link's entry can never be covered by the
-     (zero-padded) packet filter — and, transposed, column m is exactly
-     the set of down ports. *)
-  let words = (m / 64) + 1 in
-  let stride = 8 * words in
-  let data_len = (m + 7) / 8 in
-  let ports = st.Node_engine.state_ports in
-  let n_ports = Array.length ports in
-  let entry_blob n = Bytes.make (n * stride) '\000' in
-  let write blob slot vec = Bitvec.blit_into vec blob ~pos:(slot * stride) in
-  let kill blob slot =
-    let pos = (slot * stride) + (m lsr 3) in
-    Bytes.set blob pos
-      (Char.chr (Char.code (Bytes.get blob pos) lor (1 lsl (m land 7))))
-  in
-  let phys =
-    Array.init d (fun tbl ->
-        let blob = entry_blob n_ports in
-        Array.iteri
-          (fun p ps ->
-            write blob p ps.Node_engine.port_tags.(tbl);
-            if not ps.Node_engine.port_up then kill blob p)
-          ports;
-        blob)
-  in
-  let in_tags =
-    Array.init d (fun tbl ->
-        let blob = entry_blob n_ports in
-        Array.iteri (fun p ps -> write blob p ps.Node_engine.port_in_tags.(tbl)) ports;
-        blob)
-  in
-  let block_off =
-    Array.init d (fun tbl ->
-        let off = Array.make (n_ports + 1) 0 in
-        for p = 0 to n_ports - 1 do
-          let count =
-            List.fold_left
-              (fun acc entry -> if entry.(tbl) <> None then acc + 1 else acc)
-              0 ports.(p).Node_engine.port_blocks
-          in
-          off.(p + 1) <- off.(p) + count
-        done;
-        off)
-  in
-  let blocks =
-    Array.init d (fun tbl ->
-        let off = block_off.(tbl) in
-        let blob = entry_blob off.(n_ports) in
-        Array.iteri
-          (fun p ps ->
-            let slot = ref off.(p) in
-            List.iter
-              (fun entry ->
-                match entry.(tbl) with
-                | Some pattern ->
-                  write blob !slot pattern;
-                  incr slot
-                | None -> ())
-              ps.Node_engine.port_blocks)
-          ports;
-        blob)
-  in
-  let port_of_link = Hashtbl.create (2 * n_ports) in
-  Array.iteri
-    (fun p ps ->
-      Hashtbl.replace port_of_link ps.Node_engine.port_link.Graph.index p)
-    ports;
-  let virtuals = Array.of_list st.Node_engine.state_virtuals in
-  let n_virt = Array.length virtuals in
-  let virt =
-    Array.init d (fun tbl ->
-        let blob = entry_blob n_virt in
-        Array.iteri (fun v (tags, _) -> write blob v tags.(tbl)) virtuals;
-        blob)
-  in
-  let v_out_off = Array.make (n_virt + 1) 0 in
-  Array.iteri
-    (fun v (_, out) -> v_out_off.(v + 1) <- v_out_off.(v) + List.length out)
-    virtuals;
-  let v_out_ports = Array.make v_out_off.(n_virt) 0 in
-  Array.iteri
-    (fun v (_, out) ->
-      List.iteri
-        (fun j l -> v_out_ports.(v_out_off.(v) + j) <- Hashtbl.find port_of_link l.Graph.index)
-        out)
-    virtuals;
-  let local =
-    Array.init d (fun tbl ->
-        let blob = entry_blob 1 in
-        write blob 0 (Lit.tag st.Node_engine.state_local tbl);
-        blob)
-  in
-  let services = Array.of_list st.Node_engine.state_services in
-  let n_services = Array.length services in
-  let svc =
-    Array.init d (fun tbl ->
-        let blob = entry_blob n_services in
-        Array.iteri (fun s (tags, _) -> write blob s tags.(tbl)) services;
-        blob)
-  in
-  let stitches = Array.of_list st.Node_engine.state_stitches in
-  let n_stitch = Array.length stitches in
-  let stitch =
-    Array.init d (fun tbl ->
-        let blob = entry_blob n_stitch in
-        Array.iteri (fun s (tags, _, _) -> write blob s tags.(tbl)) stitches;
-        blob)
-  in
+  let rows = Rows.compile st in
+  let m = rows.Rows.m in
+  let groups = rows.Rows.groups in
+  let n_ports = rows.Rows.n_ports in
+  let n_virt = rows.Rows.n_virt in
+  let n_services = Array.length rows.Rows.svc_names in
+  let n_stitch = Array.length rows.Rows.stitch_next in
+  (* Column m is the kill column: transposed, it is exactly the set of
+     down ports, and the loaded filter never covers it. *)
+  let stride = Rows.stride_for ~m in
   let plane_bits = if n_ports >= byte_plane_threshold then 8 else 4 in
   let npos = stride * 8 / plane_bits in
-  let slice_of blobs n = Array.map (build_slice ~stride ~bits:plane_bits ~n) blobs in
-  let sl_phys = slice_of phys n_ports in
-  let sl_in = slice_of in_tags n_ports in
-  let sl_virt = slice_of virt n_virt in
-  let sl_svc = slice_of svc n_services in
-  let sl_stitch = slice_of stitch n_stitch in
+  let slice_of tables n =
+    Array.map (build_slice ~stride ~bits:plane_bits ~groups ~n) tables
+  in
   let sub_ports = (n_ports + 31) lsr 5 in
   let sub_aux = (max n_virt (max n_services n_stitch) + 31) lsr 5 in
   let batch_cap = 32 in
   let t =
     {
       node = st.Node_engine.state_node;
-      m;
-      d;
-      k_for_table = Array.copy params.Lit.k_for_table;
-      words;
+      rows;
       stride;
-      data_len;
+      data_len = (m + 7) / 8;
       plane_bits;
       npos;
-      fill_limit = st.Node_engine.state_fill_limit;
       fill_threshold =
         Zfilter.fill_threshold ~m ~limit:st.Node_engine.state_fill_limit;
-      n_ports;
-      out_links = Array.map (fun ps -> ps.Node_engine.port_link) ports;
-      out_index =
-        Array.map (fun ps -> ps.Node_engine.port_link.Graph.index) ports;
-      up = Array.map (fun ps -> ps.Node_engine.port_up) ports;
-      phys;
-      in_tags;
-      blocks;
-      block_off;
-      n_virt;
-      virt;
-      v_out_off;
-      v_out_ports;
-      local;
-      svc;
-      svc_names = Array.map snd services;
-      stitch;
-      stitch_partition = Array.map (fun (_, pid, _) -> pid) stitches;
-      stitch_next = Array.map (fun (_, _, next) -> next) stitches;
-      sl_phys;
-      sl_in;
-      sl_virt;
-      sl_svc;
-      sl_stitch;
+      sl_phys = slice_of rows.Rows.phys n_ports;
+      sl_in = slice_of rows.Rows.in_tags n_ports;
+      sl_virt = slice_of rows.Rows.virt n_virt;
+      sl_svc = slice_of rows.Rows.svc n_services;
+      sl_stitch = slice_of rows.Rows.stitch n_stitch;
       loop_prevention = st.Node_engine.state_loop_prevention;
       loop_cache = Hashtbl.create 64;
       loop_queue = Queue.create ();
       loop_capacity = st.Node_engine.state_loop_capacity;
       loop_ttl = st.Node_engine.state_loop_ttl;
       tick_count = st.Node_engine.state_tick;
-      zf = Bytes.make stride '\000';
+      scratch = Rows.filter ~m;
       vals = Array.make npos 0;
       dead_phys = Array.make (max 1 sub_ports) 0;
       dead_in = Array.make (max 1 sub_ports) 0;
@@ -569,28 +395,27 @@ let compile engine =
           tests = 0;
         };
       batch_cap;
-      batch_zf = Bytes.make (batch_cap * stride) '\000';
+      batch_filters = Array.init batch_cap (fun _ -> Rows.filter ~m);
       batch_vals = Array.make (batch_cap * npos) 0;
       batch_dead_phys = Array.make (max 1 (batch_cap * sub_ports)) 0;
       batch_dead_in = Array.make (max 1 (batch_cap * sub_ports)) 0;
       batch_ok = Array.make batch_cap false;
-      blob_digest = 0;
+      compile_digest = 0;
       obs = make_meters ();
     }
   in
-  t.blob_digest <- digest t;
-  t
+  { t with compile_digest = digest t }
 
 let node t = t.node
-let table_count t = t.d
-let port_count t = t.n_ports
-let out_link t p = t.out_links.(p)
+let table_count t = t.rows.Rows.d
+let port_count t = t.rows.Rows.n_ports
+let out_link t p = t.rows.Rows.out_links.(p)
 
 (* Scalar port views for zero-alloc consumers, mirroring Fastpath. *)
-let[@lipsin.noalloc] out_index t p = Array.get t.out_index p
+let[@lipsin.noalloc] out_index t p = Array.get t.rows.Rows.out_index p
 
 let[@lipsin.noalloc] out_dst t p =
-  (Array.get t.out_links p).Graph.dst
+  (Array.get t.rows.Rows.out_links p).Graph.dst
 let plane_bits t = t.plane_bits
 let tick t = t.tick_count <- t.tick_count + 1
 
@@ -617,22 +442,25 @@ let loop_cache_find t key =
   | None -> None
 
 (* Row-wise Algorithm 1, for the (sparse) entry kinds the sweep does
-   not cover: block vetoes and the node-local LIT.  Native-int 4-byte
-   groups ([words] counts 8-byte row words): the int64 reads this
-   replaced boxed one block per load on non-flambda ocamlopt. *)
-let[@lipsin.noalloc] subset_entry blob ~off zf ~zoff ~words =
-  let ok = ref true in
-  let w = ref 0 in
-  while !ok && !w < words do
-    let lo = Idx.bget_u32 blob (off + (!w lsl 3)) in
-    let hi = Idx.bget_u32 blob (off + (!w lsl 3) + 4) in
-    if
-      lo land Idx.bget_u32 zf (zoff + (!w lsl 3)) <> lo
-      || hi land Idx.bget_u32 zf (zoff + (!w lsl 3) + 4) <> hi
-    then ok := false;
-    incr w
+   not cover: block vetoes and the node-local LIT.  The same packed-row
+   kernel as Fastpath's, kept in this compilation unit so no entry test
+   crosses a module boundary. *)
+let[@lipsin.noalloc] [@lipsin.allow_unchecked
+                       "checked stdlib reads: an index outside the row or \
+                        the filter raises instead of reading out of \
+                        bounds; the offsets come from the audited \
+                        block_off table and the groups count shared by \
+                        Rows.t and every Rows.filter of the same m"] subset
+    rows off zg groups =
+  let g = ref 0 in
+  while
+    !g < groups
+    && (let x = Array.get rows (off + !g) in
+        x land Array.get zg !g = x)
+  do
+    incr g
   done;
-  !ok
+  !g = groups
 
 (* De Bruijn count-trailing-zeros over a 32-bit mask: recovers the
    surviving slot indexes in ascending order, matching the scalar
@@ -641,24 +469,26 @@ let tz_table =
   [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
      23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-let ctz32 x = Idx.get tz_table ((((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+let ctz32 x = Array.get tz_table ((((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
-let fill_vals ~bits ~stride zf ~zoff vals ~voff =
+(* Cuts the loaded filter's padded byte copy into plane-index values:
+   one byte or two nibbles per byte. *)
+let[@lipsin.allow_unchecked
+     "plane values: a loaded filter of this engine's m carries at least \
+      stride_for m = stride bytes (checked reads regardless), and npos = \
+      8 * stride / plane_bits is stride or 2 * stride; both are \
+      divisions the affine layout facts cannot carry"] fill_vals ~bits
+    ~stride zf vals ~voff =
   if bits = 8 then
     for i = 0 to stride - 1 do
-      Idx.set vals (voff + i) (Char.code (Idx.bget zf (zoff + i)))
+      Array.set vals (voff + i) (Char.code (Bytes.get zf i))
     done
   else
-    (for i = 0 to stride - 1 do
-       let b = Char.code (Idx.bget zf (zoff + i)) in
-       Idx.set vals (voff + (i lsl 1)) (b land 0xF);
-       Idx.set vals (voff + (i lsl 1) + 1) (b lsr 4)
-     done
-    [@lipsin.allow_unchecked
-      "nibble planes: this branch runs only when plane_bits = 4, where \
-       npos = 2 * stride exactly; npos = 8 * stride / plane_bits is a \
-       division the affine layout facts cannot carry, so only npos >= \
-       stride is available statically"])
+    for i = 0 to stride - 1 do
+      let b = Char.code (Bytes.get zf i) in
+      Array.set vals (voff + (i lsl 1)) (b land 0xF);
+      Array.set vals (voff + (i lsl 1) + 1) (b lsr 4)
+    done
 
 (* The column sweep: OR one plane row per active position into the dead
    masks.  Specialised for the one- and two-sub-block shapes (<= 64
@@ -676,28 +506,28 @@ let[@lipsin.allow_unchecked
   match sl.sl_sub with
   | 0 -> ()
   | 1 ->
-    let acc = ref (Idx.get dead doff) in
+    let acc = ref (Array.get dead doff) in
     for i = 0 to n_act - 1 do
-      let pos = Idx.get act i in
-      acc := !acc lor Idx.get plane ((pos lsl bits) lor Idx.get vals (voff + pos))
+      let pos = Array.get act i in
+      acc := !acc lor Array.get plane ((pos lsl bits) lor Array.get vals (voff + pos))
     done;
-    Idx.set dead doff !acc
+    Array.set dead doff !acc
   | 2 ->
-    let a0 = ref (Idx.get dead doff) and a1 = ref (Idx.get dead (doff + 1)) in
+    let a0 = ref (Array.get dead doff) and a1 = ref (Array.get dead (doff + 1)) in
     for i = 0 to n_act - 1 do
-      let pos = Idx.get act i in
-      let base = ((pos lsl bits) lor Idx.get vals (voff + pos)) lsl 1 in
-      a0 := !a0 lor Idx.get plane base;
-      a1 := !a1 lor Idx.get plane (base + 1)
+      let pos = Array.get act i in
+      let base = ((pos lsl bits) lor Array.get vals (voff + pos)) lsl 1 in
+      a0 := !a0 lor Array.get plane base;
+      a1 := !a1 lor Array.get plane (base + 1)
     done;
-    Idx.set dead doff !a0;
-    Idx.set dead (doff + 1) !a1
+    Array.set dead doff !a0;
+    Array.set dead (doff + 1) !a1
   | sub ->
     for i = 0 to n_act - 1 do
-      let pos = Idx.get act i in
-      let base = ((pos lsl bits) lor Idx.get vals (voff + pos)) * sub in
+      let pos = Array.get act i in
+      let base = ((pos lsl bits) lor Array.get vals (voff + pos)) * sub in
       for s = 0 to sub - 1 do
-        Idx.set dead (doff + s) (Idx.get dead (doff + s) lor Idx.get plane (base + s))
+        Array.set dead (doff + s) (Array.get dead (doff + s) lor Array.get plane (base + s))
       done
     done
 
@@ -715,15 +545,15 @@ let[@lipsin.allow_unchecked
   let sub = sl.sl_sub in
   if sub > 0 then
     for ai = 0 to Array.length act - 1 do
-      let pos = Idx.get act ai in
+      let pos = Array.get act ai in
       let prow = (pos lsl bits) * sub in
       for i = 0 to len - 1 do
-        if Idx.get ok i then begin
-          let base = prow + (Idx.get batch_vals ((i * npos) + pos) * sub) in
+        if Array.get ok i then begin
+          let base = prow + (Array.get batch_vals ((i * npos) + pos) * sub) in
           let doff = i * sub in
           for s = 0 to sub - 1 do
-            Idx.set batch_dead (doff + s)
-              (Idx.get batch_dead (doff + s) lor Idx.get plane (base + s))
+            Array.set batch_dead (doff + s)
+              (Array.get batch_dead (doff + s) lor Array.get plane (base + s))
           done
         end
       done
@@ -734,13 +564,16 @@ let[@lipsin.allow_unchecked
    virtual and service slices, local delivery and the Obs tail.  The
    control flow and meter increments mirror Fastpath.decide statement
    for statement; only the membership mechanism differs. *)
-let finish t ~obs ~table ~in_link_index ~zf ~zoff ~vals ~voff ~pdead ~pdoff
-    ~idead ~idoff =
+let finish t ~obs ~table ~in_link_index ~(filter : Rows.filter) ~vals ~voff
+    ~pdead ~pdoff ~idead ~idoff =
   let d = t.decision in
+  let r = t.rows in
   let bits = t.plane_bits in
+  let zg = filter.Rows.groups in
+  let groups = r.Rows.groups in
   if t.loop_prevention then
     (begin
-       let key = Bytes.sub_string zf zoff t.data_len in
+       let key = Bytes.sub_string filter.Rows.bytes 0 t.data_len in
        (match loop_cache_find t key with
        | Some cached ->
          if obs then bump t.obs.mhits;
@@ -748,16 +581,16 @@ let finish t ~obs ~table ~in_link_index ~zf ~zoff ~vals ~voff ~pdead ~pdoff
            d.drop <- drop_loop
        | None -> ());
        if d.drop = no_drop then begin
-         let sl = Idx.get t.sl_in table in
+         let sl = Array.get t.sl_in table in
          let risky = ref false in
          (for s = 0 to sl.sl_sub - 1 do
             let a =
-              ref (Idx.get sl.sl_valid s land lnot (Idx.get idead (idoff + s)))
+              ref (Array.get sl.sl_valid s land lnot (Array.get idead (idoff + s)))
             in
             while !a <> 0 do
               let p = (s lsl 5) + ctz32 !a in
               a := !a land (!a - 1);
-              if Idx.get t.out_index p <> in_link_index then risky := true
+              if Array.get r.Rows.out_index p <> in_link_index then risky := true
             done
           done
          [@lipsin.allow_unchecked
@@ -785,26 +618,25 @@ let finish t ~obs ~table ~in_link_index ~zf ~zoff ~vals ~voff ~pdead ~pdoff
   else begin
     t.gen <- t.gen + 1;
     let gen = t.gen in
-    d.tests <- t.n_ports + t.n_virt;
-    let sl = Idx.get t.sl_phys table in
-    let btab = Idx.get t.blocks table in
-    let boff = Idx.get t.block_off table in
+    d.tests <- r.Rows.n_ports + r.Rows.n_virt;
+    let sl = Array.get t.sl_phys table in
+    let btab = Array.get r.Rows.blocks table in
+    let boff = Array.get r.Rows.block_off table in
     (for s = 0 to sl.sl_sub - 1 do
        let a =
-         ref (Idx.get sl.sl_valid s land lnot (Idx.get pdead (pdoff + s)))
+         ref (Array.get sl.sl_valid s land lnot (Array.get pdead (pdoff + s)))
        in
        while !a <> 0 do
          let p = (s lsl 5) + ctz32 !a in
          a := !a land (!a - 1);
          let blocked = ref false in
-         for b = Idx.get boff p to Idx.get boff (p + 1) - 1 do
-           if subset_entry btab ~off:(b * t.stride) zf ~zoff ~words:t.words
-           then blocked := true
+         for b = Array.get boff p to Array.get boff (p + 1) - 1 do
+           if subset btab (b * groups) zg groups then blocked := true
          done;
          if obs && !blocked then bump t.obs.mveto;
-         if (not !blocked) && Idx.get t.seen p <> gen then begin
-           Idx.set t.seen p gen;
-           Idx.set d.forward d.n_forward p;
+         if (not !blocked) && Array.get t.seen p <> gen then begin
+           Array.set t.seen p gen;
+           Array.set d.forward d.n_forward p;
            d.n_forward <- d.n_forward + 1
          end
        done
@@ -813,24 +645,24 @@ let finish t ~obs ~table ~in_link_index ~zf ~zoff ~vals ~voff ~pdead ~pdoff
       "survivor recovery: p = 32 s + ctz32 mask is < n_ports via the \
        audited valid masks and the dead scratch is sized to the largest \
        sl_sub at build time; boff rows are monotone offsets into the \
-       per-table blocks blob of boff.(n_ports) stride-wide entries \
+       per-table blocks rows of boff.(n_ports) packed entries \
        (Audit invariant), seen has at least n_ports entries, and \
        forward holds at most n_ports entries because the seen \
        generation stamp admits each port once per decision"]);
-    let slv = Idx.get t.sl_virt table in
+    let slv = Array.get t.sl_virt table in
     if slv.sl_n > 0 then begin
       Array.fill t.dead_aux 0 slv.sl_sub 0;
       sweep ~bits slv vals ~voff t.dead_aux ~doff:0;
       (for s = 0 to slv.sl_sub - 1 do
-         let a = ref (Idx.get slv.sl_valid s land lnot (Idx.get t.dead_aux s)) in
+         let a = ref (Array.get slv.sl_valid s land lnot (Array.get t.dead_aux s)) in
          while !a <> 0 do
            let v = (s lsl 5) + ctz32 !a in
            a := !a land (!a - 1);
-           for j = Idx.get t.v_out_off v to Idx.get t.v_out_off (v + 1) - 1 do
-             let p = Idx.get t.v_out_ports j in
-             if Idx.get t.up p && Idx.get t.seen p <> gen then begin
-               Idx.set t.seen p gen;
-               Idx.set d.forward d.n_forward p;
+           for j = Array.get r.Rows.v_out_off v to Array.get r.Rows.v_out_off (v + 1) - 1 do
+             let p = Array.get r.Rows.v_out_ports j in
+             if Array.get r.Rows.up p && Array.get t.seen p <> gen then begin
+               Array.set t.seen p gen;
+               Array.set d.forward d.n_forward p;
                d.n_forward <- d.n_forward + 1
              end
            done
@@ -843,18 +675,17 @@ let finish t ~obs ~table ~in_link_index ~zf ~zoff ~vals ~voff ~pdead ~pdoff
          from v_out_ports is < n_ports (Audit checks the indirection); \
          all content-dependent"])
     end;
-    d.deliver_local <-
-      subset_entry (Idx.get t.local table) ~off:0 zf ~zoff ~words:t.words;
-    let sls = Idx.get t.sl_svc table in
+    d.deliver_local <- subset (Array.get r.Rows.local table) 0 zg groups;
+    let sls = Array.get t.sl_svc table in
     if sls.sl_n > 0 then begin
       Array.fill t.dead_aux 0 sls.sl_sub 0;
       sweep ~bits sls vals ~voff t.dead_aux ~doff:0;
       (for s = 0 to sls.sl_sub - 1 do
-         let a = ref (Idx.get sls.sl_valid s land lnot (Idx.get t.dead_aux s)) in
+         let a = ref (Array.get sls.sl_valid s land lnot (Array.get t.dead_aux s)) in
          while !a <> 0 do
            let sv = (s lsl 5) + ctz32 !a in
            a := !a land (!a - 1);
-           Idx.set d.services d.n_services sv;
+           Array.set d.services d.n_services sv;
            d.n_services <- d.n_services + 1
          done
        done
@@ -864,16 +695,16 @@ let finish t ~obs ~table ~in_link_index ~zf ~zoff ~vals ~voff ~pdead ~pdoff
          sl_n entries because each valid bit is drained once per \
          decision; content-dependent"])
     end;
-    let slx = Idx.get t.sl_stitch table in
+    let slx = Array.get t.sl_stitch table in
     if slx.sl_n > 0 then begin
       Array.fill t.dead_aux 0 slx.sl_sub 0;
       sweep ~bits slx vals ~voff t.dead_aux ~doff:0;
       (for s = 0 to slx.sl_sub - 1 do
-         let a = ref (Idx.get slx.sl_valid s land lnot (Idx.get t.dead_aux s)) in
+         let a = ref (Array.get slx.sl_valid s land lnot (Array.get t.dead_aux s)) in
          while !a <> 0 do
            let sx = (s lsl 5) + ctz32 !a in
            a := !a land (!a - 1);
-           Idx.set d.stitches d.n_stitch sx;
+           Array.set d.stitches d.n_stitch sx;
            d.n_stitch <- d.n_stitch + 1
          done
        done
@@ -886,8 +717,8 @@ let finish t ~obs ~table ~in_link_index ~zf ~zoff ~vals ~voff ~pdead ~pdoff
     if obs then begin
       Obs.Histogram.record_int t.obs.hadm d.n_forward;
       if d.deliver_local then bump t.obs.mlocal;
-      Idx.set t.obs.msvc 0 (Idx.get t.obs.msvc 0 + d.n_services);
-      Idx.set t.obs.mstitch 0 (Idx.get t.obs.mstitch 0 + d.n_stitch)
+      Array.set t.obs.msvc 0 (Array.get t.obs.msvc 0 + d.n_services);
+      Array.set t.obs.mstitch 0 (Array.get t.obs.mstitch 0 + d.n_stitch)
     end;
     d
   end
@@ -901,75 +732,84 @@ let reset_decision d =
   d.drop <- no_drop;
   d.tests <- 0
 
-let[@lipsin.noalloc] [@lipsin.inbounds] decide t ~table ~zfilter ~in_link_index =
+let[@lipsin.noalloc] [@lipsin.inbounds] decide_loaded t ~table
+    ~(filter : Rows.filter) ~in_link_index =
   let obs = Obs.enabled () in
   if obs then bump t.obs.md;
   let d = t.decision in
   reset_decision d;
-  if table < 0 || table >= t.d then begin
+  let m = t.rows.Rows.m in
+  if table < 0 || table >= t.rows.Rows.d then begin
     d.drop <- drop_bad_table;
     if obs then bump t.obs.mbad;
     d
   end
-  else if Zfilter.m zfilter <> t.m then
+  else if filter.Rows.width <> m || filter.Rows.f_m <> m then
     invalid_arg "Bitsliced.decide: zFilter width mismatch"
-  else if Zfilter.popcount zfilter > t.fill_threshold then begin
+  else if filter.Rows.pop > t.fill_threshold then begin
     d.drop <- drop_fill;
     if obs then bump t.obs.mfill;
     d
   end
   else begin
-    Bitvec.blit_into (Zfilter.to_bitvec zfilter) t.zf ~pos:0;
-    fill_vals ~bits:t.plane_bits ~stride:t.stride t.zf ~zoff:0 t.vals ~voff:0;
-    let slp = Idx.get t.sl_phys table in
+    fill_vals ~bits:t.plane_bits ~stride:t.stride filter.Rows.bytes t.vals ~voff:0;
+    let slp = Array.get t.sl_phys table in
     Array.fill t.dead_phys 0 slp.sl_sub 0;
     sweep ~bits:t.plane_bits slp t.vals ~voff:0 t.dead_phys ~doff:0;
     if t.loop_prevention then begin
-      let sli = Idx.get t.sl_in table in
+      let sli = Array.get t.sl_in table in
       Array.fill t.dead_in 0 sli.sl_sub 0;
       sweep ~bits:t.plane_bits sli t.vals ~voff:0 t.dead_in ~doff:0
     end;
-    finish t ~obs ~table ~in_link_index ~zf:t.zf ~zoff:0 ~vals:t.vals ~voff:0
+    finish t ~obs ~table ~in_link_index ~filter ~vals:t.vals ~voff:0
       ~pdead:t.dead_phys ~pdoff:0 ~idead:t.dead_in ~idoff:0
   end
 
+let[@lipsin.noalloc] decide t ~table ~zfilter ~in_link_index =
+  Rows.load t.scratch zfilter;
+  decide_loaded t ~table ~filter:t.scratch ~in_link_index
+
 let[@lipsin.noalloc] [@lipsin.inbounds] decide_batch t ~table inputs ~f =
-  if table < 0 || table >= t.d then
+  if table < 0 || table >= t.rows.Rows.d then
     for i = 0 to Array.length inputs - 1 do
-      let zfilter, in_link_index = Idx.get inputs i in
+      let zfilter, in_link_index = Array.get inputs i in
       (f i (decide t ~table ~zfilter ~in_link_index)
       [@lipsin.allow_alloc "sink callback supplied by the caller"])
     done
   else begin
-    let slp = Idx.get t.sl_phys table in
-    let sli = Idx.get t.sl_in table in
+    let slp = Array.get t.sl_phys table in
+    let sli = Array.get t.sl_in table in
     let npos = t.npos in
+    let m = t.rows.Rows.m in
     let n = Array.length inputs in
     let start = ref 0 in
     while !start < n do
       let len = min t.batch_cap (n - !start) in
-      (* Phase 1: widen and slice the chunk's admissible filters.  A
+      (* Phase 1: load and slice the chunk's admissible filters.  A
          packet failing the width or fill gate is left to the scalar
          entry point in phase 2, which re-checks (and raises or drops)
          at its proper sequential position. *)
       for i = 0 to len - 1 do
         let zfilter, _ =
-          (Idx.get inputs (!start + i)
+          (Array.get inputs (!start + i)
           [@lipsin.allow_unchecked
             "chunk cursor: start advances by len = min batch_cap (n - \
              start) >= 1 and stays inside [0, n); the non-constant step \
              defeats the monotone-counter write classification"])
         in
-        let ok =
-          Zfilter.m zfilter = t.m && Zfilter.popcount zfilter <= t.fill_threshold
+        let filter =
+          (Array.get t.batch_filters i
+          [@lipsin.allow_unchecked
+            "batch_filters holds batch_cap buffers (compile) and i < len \
+             <= batch_cap; the min-bounded len is outside the affine \
+             domain"])
         in
-        Idx.set t.batch_ok i ok;
-        if ok then begin
-          Bitvec.blit_into (Zfilter.to_bitvec zfilter) t.batch_zf
-            ~pos:(i * t.stride);
-          fill_vals ~bits:t.plane_bits ~stride:t.stride t.batch_zf
-            ~zoff:(i * t.stride) t.batch_vals ~voff:(i * npos)
-        end
+        Rows.load filter zfilter;
+        let ok = filter.Rows.width = m && filter.Rows.pop <= t.fill_threshold in
+        Array.set t.batch_ok i ok;
+        if ok then
+          fill_vals ~bits:t.plane_bits ~stride:t.stride filter.Rows.bytes
+            t.batch_vals ~voff:(i * npos)
       done;
       Array.fill t.batch_dead_phys 0 (len * slp.sl_sub) 0;
       sweep_batch ~bits:t.plane_bits slp t.batch_vals ~npos t.batch_dead_phys
@@ -983,13 +823,13 @@ let[@lipsin.noalloc] [@lipsin.inbounds] decide_batch t ~table inputs ~f =
          loop-cache evolution matches packet-by-packet semantics. *)
       for i = 0 to len - 1 do
         let zfilter, in_link_index =
-          (Idx.get inputs (!start + i)
+          (Array.get inputs (!start + i)
           [@lipsin.allow_unchecked
             "chunk cursor: start advances by len = min batch_cap (n - \
              start) >= 1 and stays inside [0, n); the non-constant step \
              defeats the monotone-counter write classification"])
         in
-        if not (Idx.get t.batch_ok i) then
+        if not (Array.get t.batch_ok i) then
           (f (!start + i) (decide t ~table ~zfilter ~in_link_index)
           [@lipsin.allow_alloc "sink callback supplied by the caller"])
         else begin
@@ -997,10 +837,15 @@ let[@lipsin.noalloc] [@lipsin.inbounds] decide_batch t ~table inputs ~f =
           if obs then bump t.obs.md;
           reset_decision t.decision;
           (f (!start + i)
-             (finish t ~obs ~table ~in_link_index ~zf:t.batch_zf
-                ~zoff:(i * t.stride) ~vals:t.batch_vals ~voff:(i * npos)
-                ~pdead:t.batch_dead_phys ~pdoff:(i * slp.sl_sub)
-                ~idead:t.batch_dead_in ~idoff:(i * sli.sl_sub))
+             (finish t ~obs ~table ~in_link_index
+                ~filter:
+                  (Array.get t.batch_filters i
+                  [@lipsin.allow_unchecked
+                    "batch_filters holds batch_cap buffers (compile) and i \
+                     < len <= batch_cap"])
+                ~vals:t.batch_vals ~voff:(i * npos) ~pdead:t.batch_dead_phys
+                ~pdoff:(i * slp.sl_sub) ~idead:t.batch_dead_in
+                ~idoff:(i * sli.sl_sub))
           [@lipsin.allow_alloc "sink callback supplied by the caller"])
         end
       done;
@@ -1014,13 +859,16 @@ let drop_reason d =
   else if d.drop = drop_loop then Some Node_engine.Loop_detected
   else Some Node_engine.Bad_table
 
-let forward_links t d = List.init d.n_forward (fun i -> t.out_links.(d.forward.(i)))
-let service_names t d = List.init d.n_services (fun i -> t.svc_names.(d.services.(i)))
+let forward_links t d =
+  List.init d.n_forward (fun i -> t.rows.Rows.out_links.(d.forward.(i)))
+
+let service_names t d =
+  List.init d.n_services (fun i -> t.rows.Rows.svc_names.(d.services.(i)))
 
 let stitch_targets t d =
   List.init d.n_stitch (fun i ->
       let s = d.stitches.(i) in
-      (t.stitch_partition.(s), t.stitch_next.(s)))
+      (t.rows.Rows.stitch_partition.(s), t.rows.Rows.stitch_next.(s)))
 
 let verdict t d =
   {
@@ -1046,30 +894,9 @@ type slice_view = {
 }
 
 type view = {
-  view_m : int;
-  view_d : int;
-  view_k_for_table : int array;
-  view_words : int;
+  view_rows : Rows.t;
   view_stride : int;
-  view_data_len : int;
   view_plane_bits : int;
-  view_n_ports : int;
-  view_up : bool array;
-  view_out_index : int array;
-  view_phys : Bytes.t array;
-  view_in_tags : Bytes.t array;
-  view_blocks : Bytes.t array;
-  view_block_off : int array array;
-  view_n_virt : int;
-  view_virt : Bytes.t array;
-  view_v_out_off : int array;
-  view_v_out_ports : int array;
-  view_local : Bytes.t array;
-  view_svc : Bytes.t array;
-  view_svc_names : string array;
-  view_stitch : Bytes.t array;
-  view_stitch_partition : int array;
-  view_stitch_next : int array;
   view_forward_cap : int;
   view_services_cap : int;
   view_stitch_cap : int;
@@ -1093,36 +920,15 @@ let view t =
     }
   in
   {
-    view_m = t.m;
-    view_d = t.d;
-    view_k_for_table = t.k_for_table;
-    view_words = t.words;
+    view_rows = t.rows;
     view_stride = t.stride;
-    view_data_len = t.data_len;
     view_plane_bits = t.plane_bits;
-    view_n_ports = t.n_ports;
-    view_up = t.up;
-    view_out_index = t.out_index;
-    view_phys = t.phys;
-    view_in_tags = t.in_tags;
-    view_blocks = t.blocks;
-    view_block_off = t.block_off;
-    view_n_virt = t.n_virt;
-    view_virt = t.virt;
-    view_v_out_off = t.v_out_off;
-    view_v_out_ports = t.v_out_ports;
-    view_local = t.local;
-    view_svc = t.svc;
-    view_svc_names = t.svc_names;
-    view_stitch = t.stitch;
-    view_stitch_partition = t.stitch_partition;
-    view_stitch_next = t.stitch_next;
     view_forward_cap = Array.length t.decision.forward;
     view_services_cap = Array.length t.decision.services;
     view_stitch_cap = Array.length t.decision.stitches;
     view_seen_cap = Array.length t.seen;
     view_slices =
-      Array.init t.d (fun tbl ->
+      Array.init t.rows.Rows.d (fun tbl ->
           [|
             slice_view "phys" t.sl_phys.(tbl);
             slice_view "in" t.sl_in.(tbl);
@@ -1130,20 +936,10 @@ let view t =
             slice_view "svc" t.sl_svc.(tbl);
             slice_view "stitch" t.sl_stitch.(tbl);
           |]);
-    view_digest = t.blob_digest;
+    view_digest = t.compile_digest;
   }
 
 let table_bytes t =
-  let row = ref 0 in
-  for tbl = 0 to t.d - 1 do
-    row :=
-      !row
-      + t.stride
-        * ((2 * t.n_ports)
-          + t.block_off.(tbl).(t.n_ports)
-          + t.n_virt + 1 + Array.length t.svc_names
-          + Array.length t.stitch_next)
-  done;
   let cols = ref 0 in
   let add sls =
     Array.iter
@@ -1158,4 +954,4 @@ let table_bytes t =
   add t.sl_virt;
   add t.sl_svc;
   add t.sl_stitch;
-  !row + !cols
+  Rows.table_bytes t.rows + !cols

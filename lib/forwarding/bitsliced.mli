@@ -1,7 +1,7 @@
 (** The bit-sliced (transposed) compiled forwarding engine.
 
-    {!Fastpath} stores each table row-major — one padded LIT entry per
-    link — and tests links one at a time, O(ports x words) per
+    {!Fastpath} stores each table row-major — one packed {!Rows} entry
+    per link — and tests links one at a time, O(ports x groups) per
     decision.  This engine stores the same tables {e column-major}:
     word [col[b][blk]] of a table's canonical blob holds filter-bit
     position [b] for the links [64*blk .. 64*blk + 63].  A decision
@@ -20,6 +20,11 @@
     Nodes with at least {!byte_plane_threshold} ports get
     byte-granularity planes (half the sweep steps, 16x the table
     memory); smaller nodes get nibble planes.
+
+    The engine keeps the shared {!Rows.t} too: block vetoes and the
+    node-local LIT are tested row-wise with a packed-row kernel local
+    to this module, and the rows are what the columns are transposed
+    from.
 
     Kill bits, negative/blocking Link IDs, the node-local LIT, service
     endpoints, fill-limit and loop-cache semantics match the scalar
@@ -57,11 +62,10 @@ val drop_loop : int
 val drop_bad_table : int
 
 val auto_threshold : int
-(** Port count from which the bit-sliced engine beats the scalar fast
-    path, so [Run]'s [`Auto] engine picks it: 16.  Tuned from the
-    BENCH_PR5 engine sweep (scalar ahead at 8 ports, bit-sliced ahead
-    from 64 up, crossover between 12 and 16) and pinned by a
-    bench-derived unit test. *)
+(** Port count from which [Run]'s [`Auto] engine picks the bit-sliced
+    engine over the scalar fast path: 32.  The star-hub sweep
+    ([bench --sweep]) puts the crossover between 32 and 64 ports; 32 is
+    the top of the range a bench-derived unit test pins. *)
 
 val byte_plane_threshold : int
 (** Port count from which compile chooses byte-granularity sweep planes
@@ -70,9 +74,9 @@ val byte_plane_threshold : int
     at different sizes. *)
 
 val compile : Node_engine.t -> t
-(** Flattens the engine's current state into row blobs (the same
-    layout as {!Fastpath.compile}) and transposes them into the
-    column-major blobs and sweep planes. *)
+(** Compiles the engine's current state into {!Rows} (the same layout
+    as {!Fastpath.compile}) and transposes them into the column-major
+    blobs and sweep planes. *)
 
 val node : t -> Lipsin_topology.Graph.node
 val table_count : t -> int
@@ -95,12 +99,20 @@ val plane_bits : t -> int
 val tick : t -> unit
 (** Advances the loop-cache clock (mirror of {!Node_engine.tick}). *)
 
+val decide_loaded :
+  t -> table:int -> filter:Rows.filter -> in_link_index:int -> decision
+(** One forwarding decision from a loaded zFilter (see
+    {!Fastpath.decide_loaded}); [in_link_index] is the dense index of
+    the arrival link, or [-1] when the packet originates here.  Returns
+    the engine's scratch decision buffer — read it before the next
+    decision on this engine, and do not hold onto it.
+    @raise Invalid_argument if the loaded zFilter's width differs from
+    the compiled [m]. *)
+
 val decide :
   t -> table:int -> zfilter:Lipsin_bloom.Zfilter.t -> in_link_index:int -> decision
-(** One forwarding decision; [in_link_index] is the dense index of the
-    arrival link, or [-1] when the packet originates here.  Returns the
-    engine's scratch decision buffer — read it before the next [decide]
-    on this engine, and do not hold onto it.
+(** Loads [zfilter] into the engine's own buffer and runs
+    {!decide_loaded}.
     @raise Invalid_argument if the zFilter width differs from the
     compiled [m]. *)
 
@@ -134,13 +146,13 @@ val verdict : t -> decision -> Node_engine.verdict
     the differential tests compare across. *)
 
 val table_bytes : t -> int
-(** Total compiled footprint in bytes: row blobs plus canonical column
+(** Total compiled footprint in bytes: rows plus canonical column
     blobs, used maps and sweep planes, over all d tables. *)
 
 (** {1 Introspection}
 
     The window [Lipsin_analysis.Audit] uses to cross-check the
-    transposed layout against the row blobs.  Arrays and [Bytes.t]
+    transposed layout against the rows.  Arrays and [Bytes.t]
     values are {e shared} with the live engine — treat them as
     read-only unless deliberately injecting corruption in a test. *)
 
@@ -166,30 +178,11 @@ type slice_view = {
 }
 
 type view = {
-  view_m : int;
-  view_d : int;
-  view_k_for_table : int array;
-  view_words : int;
+  view_rows : Rows.t;  (** The shared rows the columns transpose. *)
   view_stride : int;
-  view_data_len : int;
+      (** Bytes of the padded filter copy, {!Rows.stride_for}: the
+          slices have [8 * stride] columns. *)
   view_plane_bits : int;
-  view_n_ports : int;
-  view_up : bool array;
-  view_out_index : int array;
-  view_phys : Bytes.t array;
-  view_in_tags : Bytes.t array;
-  view_blocks : Bytes.t array;
-  view_block_off : int array array;
-  view_n_virt : int;
-  view_virt : Bytes.t array;
-  view_v_out_off : int array;
-  view_v_out_ports : int array;
-  view_local : Bytes.t array;
-  view_svc : Bytes.t array;
-  view_svc_names : string array;
-  view_stitch : Bytes.t array;
-  view_stitch_partition : int array;
-  view_stitch_next : int array;
   view_forward_cap : int;
   view_services_cap : int;
   view_stitch_cap : int;
@@ -203,6 +196,7 @@ type view = {
 val view : t -> view
 
 val digest : t -> int
-(** Recomputes the integrity digest (word-wise multiply-xorshift) over
-    geometry, row blobs, column blobs and derived arrays.  Equal to
+(** Recomputes the integrity digest ({!Rows.digest} extended with the
+    same multiply-xorshift step) over geometry, rows, column blobs and
+    derived arrays.  Equal to
     [(view t).view_digest] iff nothing changed since {!compile}. *)

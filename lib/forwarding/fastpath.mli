@@ -6,17 +6,18 @@
     paper's hardware discussion assumes (Sec. 4.2–4.3): the d
     forwarding tables — physical links, virtual links, negative Link
     IDs, the local slow-path ID and service endpoints — are flattened
-    at {!compile} time into contiguous 64-bit-word arrays, one padded
-    entry per row, and a decision is a branch-light word-wise AND/compare
-    sweep over those rows that writes into a preallocated
-    {!type-decision} buffer.  After the scratch buffers are warm, a
-    {!decide} call allocates nothing (when loop prevention is off; the
-    loop cache keys one small string per decision otherwise).
+    at {!compile} time into {!Rows}, one packed native-int row per
+    entry.  A decision is an AND/compare sweep of those rows against a
+    zFilter loaded once per publication ({!Rows.load}), writing into a
+    preallocated {!type-decision} buffer.  The per-entry loop uses only
+    checked stdlib array reads inside this module, so it stays call-free
+    in every build profile.  A decision allocates nothing when loop
+    prevention is off; the loop cache keys one small string per
+    decision otherwise.
 
-    Down links are compiled to never-matching rows: each entry carries
-    a spare {e kill bit} in its word padding which the (zero-padded)
-    packet filter can never cover, so link state costs no branch in the
-    hot loop.
+    Down links are compiled to never-matching rows: each row carries a
+    {e kill bit} at bit m, which a loaded zFilter never sets, so link
+    state costs no branch in the hot loop.
 
     A compiled engine is a {e snapshot}: mutations to the source
     {!Node_engine.t} after {!compile} (failures, virtual installs,
@@ -75,12 +76,21 @@ val out_dst : t -> int -> int
 val tick : t -> unit
 (** Advances the loop-cache clock (mirror of {!Node_engine.tick}). *)
 
+val decide_loaded :
+  t -> table:int -> filter:Rows.filter -> in_link_index:int -> decision
+(** One forwarding decision from a loaded zFilter; [in_link_index] is
+    the dense index of the arrival link, or [-1] when the packet
+    originates here.  Load the publication's zFilter once and reuse the
+    buffer on every hop.  Returns the engine's scratch decision buffer —
+    read it before the next decision on this engine, and do not hold
+    onto it.
+    @raise Invalid_argument if the loaded zFilter's width differs from
+    the compiled [m]. *)
+
 val decide :
   t -> table:int -> zfilter:Lipsin_bloom.Zfilter.t -> in_link_index:int -> decision
-(** One forwarding decision; [in_link_index] is the dense index of the
-    arrival link, or [-1] when the packet originates here.  Returns the
-    engine's scratch decision buffer — read it before the next [decide]
-    on this engine, and do not hold onto it.
+(** [decide t ~table ~zfilter ~in_link_index] loads [zfilter] into the
+    engine's own buffer and runs {!decide_loaded}.
     @raise Invalid_argument if the zFilter width differs from the
     compiled [m]. *)
 
@@ -115,47 +125,23 @@ val table_bytes : t -> int
 
 (** {1 Introspection}
 
-    A structural window onto the compiled blobs for the invariant
-    auditor ([Lipsin_analysis.Audit]) and its mutation tests.  The
-    arrays and [Bytes.t] values are {e shared} with the live engine, not
-    copies — treat them as read-only unless you are deliberately
-    injecting corruption in a test. *)
+    A structural window onto the compiled rows for the invariant
+    auditor ([Lipsin_analysis.Audit]) and its mutation tests.  The rows
+    are {e shared} with the live engine, not copies — treat them as
+    read-only unless you are deliberately injecting corruption in a
+    test. *)
 
 type view = {
-  view_m : int;  (** Filter width in bits. *)
-  view_d : int;  (** Number of forwarding tables. *)
-  view_k_for_table : int array;  (** Bits set per LIT, per table. *)
-  view_words : int;  (** 64-bit words per entry, [m/64 + 1]. *)
-  view_stride : int;  (** Bytes per entry, [8 * words]. *)
-  view_data_len : int;  (** Live filter bytes, [ceil(m/8)]. *)
-  view_n_ports : int;
-  view_up : bool array;  (** Per-port link state at compile time. *)
-  view_out_index : int array;  (** Port -> dense link index. *)
-  view_phys : Bytes.t array;  (** Per table: [n_ports] LIT entries. *)
-  view_in_tags : Bytes.t array;  (** Per table: [n_ports] incoming LITs. *)
-  view_blocks : Bytes.t array;  (** Per table: concatenated veto patterns. *)
-  view_block_off : int array array;
-      (** Per table: [n_ports + 1] prefix offsets into the block blob. *)
-  view_n_virt : int;
-  view_virt : Bytes.t array;  (** Per table: [n_virt] virtual entries. *)
-  view_v_out_off : int array;  (** [n_virt + 1] prefix offsets. *)
-  view_v_out_ports : int array;  (** Flattened virtual egress ports. *)
-  view_local : Bytes.t array;  (** Per table: the node-local LIT. *)
-  view_svc : Bytes.t array;  (** Per table: one entry per service. *)
-  view_svc_names : string array;
-  view_stitch : Bytes.t array;  (** Per table: one entry per stitch point. *)
-  view_stitch_partition : int array;  (** Stitch payloads: partition ids. *)
-  view_stitch_next : int array;  (** Stitch payloads: next stage indexes. *)
+  view_rows : Rows.t;
   view_forward_cap : int;  (** Decision buffer capacity for ports. *)
   view_services_cap : int;  (** Decision buffer capacity for services. *)
   view_stitch_cap : int;  (** Decision buffer capacity for stitches. *)
   view_seen_cap : int;  (** Dedup stamp array capacity. *)
-  view_digest : int;  (** Integrity digest recorded at {!compile}. *)
+  view_digest : int;  (** {!Rows.digest} recorded at {!compile}. *)
 }
 
 val view : t -> view
 
 val digest : t -> int
-(** Recomputes the FNV-1a integrity digest over the current blob
-    contents and geometry.  Equal to [(view t).view_digest] iff no blob
-    byte changed since {!compile}. *)
+(** Recomputes {!Rows.digest} over the current rows.  Equal to
+    [(view t).view_digest] iff no row changed since {!compile}. *)

@@ -1,6 +1,9 @@
 module Graph = Lipsin_topology.Graph
 module Fastpath = Lipsin_forwarding.Fastpath
 module Bitsliced = Lipsin_forwarding.Bitsliced
+module Rows = Lipsin_forwarding.Rows
+module Assignment = Lipsin_core.Assignment
+module Lit = Lipsin_bloom.Lit
 
 (* Recycled per-publication delivery scratch.  Every array is sized once
    from the topology and reused across publications: delivery-set and
@@ -8,8 +11,10 @@ module Bitsliced = Lipsin_forwarding.Bitsliced
    BFS frontier is a flat ring (each link is traversed at most once in
    Expand_once mode, so [link_count + 1] slots bound it), and compiled
    engines are pinned per node so the hot loop never consults the Net's
-   lazy caches.  The result: [deliver] is a certified [@lipsin.noalloc]
-   root — zero minor words per publication in steady state. *)
+   lazy caches, and the publication's zFilter is loaded once into
+   [filter] and shared by every hop.  The result: [deliver] is a
+   certified [@lipsin.noalloc] root — zero minor words per publication
+   in steady state. *)
 
 type t = {
   net : Net.t;
@@ -20,6 +25,7 @@ type t = {
   fps : Fastpath.t option array;
   bits : Bitsliced.t option array;
   use_bits : bool array;
+  filter : Rows.filter;  (* the current publication's loaded zFilter *)
   mutable warm_code : int;  (* 0 cold, 1 `Fast, 2 `Bitsliced, 3 `Auto *)
   mutable warm_generation : int;
   (* recycled delivery set: reached bitmap + touched stack + the depth
@@ -68,6 +74,7 @@ let create net =
     fps = Array.make n_nodes None;
     bits = Array.make n_nodes None;
     use_bits = Array.make n_nodes false;
+    filter = Rows.filter ~m:(Assignment.params (Net.assignment net)).Lit.m;
     warm_code = 0;
     warm_generation = -1;
     reached = Array.make n_nodes false;
@@ -223,7 +230,8 @@ let[@lipsin.noalloc] propagate a li dst depth =
 (* Expand-once BFS over the pinned compiled engines.  Stitch payloads
    are tallied but not collected (staged delivery goes through
    Stitched.deliver, which needs the full Run.deliver outcome). *)
-let[@lipsin.noalloc] run_queue a ~table ~zfilter =
+let[@lipsin.noalloc] run_queue a ~table =
+  let filter = a.filter in
   while a.q_head < a.q_tail do
     let h = a.q_head in
     a.q_head <- h + 1;
@@ -234,7 +242,7 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter =
       match Array.get a.bits node with
       | None -> ()  (* unreachable after [warm]; dropping is the safe miss *)
       | Some bs ->
-        let d = Bitsliced.decide bs ~table ~zfilter ~in_link_index in
+        let d = Bitsliced.decide_loaded bs ~table ~filter ~in_link_index in
         a.membership_tests <- a.membership_tests + d.Bitsliced.tests;
         if d.Bitsliced.deliver_local then
           a.local_deliveries <- a.local_deliveries + 1;
@@ -254,7 +262,7 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter =
       match Array.get a.fps node with
       | None -> ()
       | Some fp ->
-        let d = Fastpath.decide fp ~table ~zfilter ~in_link_index in
+        let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
         a.membership_tests <- a.membership_tests + d.Fastpath.tests;
         if d.Fastpath.deliver_local then
           a.local_deliveries <- a.local_deliveries + 1;
@@ -274,6 +282,7 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter =
 
 let[@lipsin.noalloc] deliver a ~src ~table ~zfilter =
   reset a;
+  Rows.load a.filter zfilter;
   Array.set a.q_node 0 src;
   Array.set a.q_in 0 (-1);
   Array.set a.q_depth 0 0;
@@ -282,7 +291,7 @@ let[@lipsin.noalloc] deliver a ~src ~table ~zfilter =
   Array.set a.touched_nodes 0 src;
   Array.set a.reach_depth 0 0;
   a.n_reached <- 1;
-  run_queue a ~table ~zfilter
+  run_queue a ~table
 
 let rec under_count traversed acc links =
   match links with

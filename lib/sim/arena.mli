@@ -9,8 +9,10 @@
     stacks, the BFS frontier is a flat ring bounded by [link_count + 1]
     (each link traverses at most once in expand-once mode), and every
     node's compiled engine is pinned up front by {!warm} so the hot loop
-    never falls into the Net's lazy compile caches.  {!deliver} is a
-    certified [[@lipsin.noalloc]] root.
+    never falls into the Net's lazy compile caches.  The publication's
+    zFilter is loaded once ({!Lipsin_forwarding.Rows.load}) and every
+    hop decides from that one copy.  {!deliver} is a certified
+    [[@lipsin.noalloc]] root.
 
     The supported fast path is expand-once delivery on the [`Fast],
     [`Bitsliced] and [`Auto] engines with loop prevention off; anything
@@ -30,6 +32,9 @@ type t = {
   fps : Lipsin_forwarding.Fastpath.t option array;
   bits : Lipsin_forwarding.Bitsliced.t option array;
   use_bits : bool array;
+  filter : Lipsin_forwarding.Rows.filter;
+      (** The current publication's zFilter, loaded once by {!deliver}
+          and shared by every hop; allocated by {!create}. *)
   mutable warm_code : int;
   mutable warm_generation : int;
   reached : bool array;  (** Delivery-set bitmap; valid entries only for

@@ -3,6 +3,7 @@ module Graph = Lipsin_topology.Graph
 module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
 module Bitsliced = Lipsin_forwarding.Bitsliced
+module Rows = Lipsin_forwarding.Rows
 module Obs = Lipsin_obs.Obs
 
 type mode = Expand_once | Ttl of int
@@ -131,6 +132,9 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
   let out_acc = ref [] in
   let fp_flag = ref false in
   let ttl_refused = ref 0 in
+  (* The compiled engines decide from one loaded copy of the zFilter
+     for the whole delivery. *)
+  let filter = Rows.of_zfilter zfilter in
   let queue = Queue.create () in
   let initial_ttl = match mode with Expand_once -> max_int | Ttl t -> t in
   Queue.add { node = src; in_link = None; ttl = initial_ttl; depth = 0 } queue;
@@ -209,7 +213,7 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
       let in_link_index =
         match in_link with None -> -1 | Some l -> l.Graph.index
       in
-      let d = Fastpath.decide fp ~table ~zfilter ~in_link_index in
+      let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
       membership_tests := !membership_tests + d.Fastpath.tests;
       if d.Fastpath.deliver_local then incr local_deliveries;
       if d.Fastpath.drop = Fastpath.drop_fill then incr fill_drops
@@ -228,7 +232,7 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
       let in_link_index =
         match in_link with None -> -1 | Some l -> l.Graph.index
       in
-      let d = Bitsliced.decide bs ~table ~zfilter ~in_link_index in
+      let d = Bitsliced.decide_loaded bs ~table ~filter ~in_link_index in
       membership_tests := !membership_tests + d.Bitsliced.tests;
       if d.Bitsliced.deliver_local then incr local_deliveries;
       if d.Bitsliced.drop = Bitsliced.drop_fill then incr fill_drops

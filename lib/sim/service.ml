@@ -2,6 +2,8 @@ module Graph = Lipsin_topology.Graph
 module Assignment = Lipsin_core.Assignment
 module Adaptive = Lipsin_core.Adaptive
 module Partition = Lipsin_bloom.Partition
+module Lit = Lipsin_bloom.Lit
+module Zfilter = Lipsin_bloom.Zfilter
 module Obs = Lipsin_obs.Obs
 
 (* Telemetry: pool lifecycle + per-shard queue pressure.  Worker spawns
@@ -425,9 +427,36 @@ let dispatch t ~n exec_v =
     t.slots;
   !st
 
-let run t jobs = dispatch t ~n:(Array.length jobs) (Exec_count jobs)
+(* A job a worker cannot run would raise inside its domain and lose the
+   completion handshake, hanging the dispatcher; reject the whole batch
+   here instead, before any worker sees it. *)
+let validate t ~caller jobs =
+  let params = Assignment.params t.assignment in
+  let m = params.Lit.m and d = params.Lit.d in
+  let nodes = Graph.node_count (Assignment.graph t.assignment) in
+  let reject i what =
+    invalid_arg (Printf.sprintf "%s: job %d %s" caller i what)
+  in
+  Array.iteri
+    (fun i j ->
+      let w = Zfilter.m j.job_zfilter in
+      if w <> m then
+        reject i
+          (Printf.sprintf "has a %d-bit zFilter; the deployment uses m = %d" w m);
+      if j.job_table < 0 || j.job_table >= d then
+        reject i
+          (Printf.sprintf "uses table %d outside [0, %d)" j.job_table d);
+      if j.job_src < 0 || j.job_src >= nodes then
+        reject i
+          (Printf.sprintf "starts at node %d outside [0, %d)" j.job_src nodes))
+    jobs
+
+let run t jobs =
+  validate t ~caller:"Service.run" jobs;
+  dispatch t ~n:(Array.length jobs) (Exec_count jobs)
 
 let run_collect t jobs ~f =
+  validate t ~caller:"Service.run_collect" jobs;
   dispatch t ~n:(Array.length jobs) (Exec_collect (jobs, f))
 
 let run_partitioned t parts ~f =

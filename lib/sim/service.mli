@@ -86,12 +86,15 @@ val run : t -> job array -> stats
 (** Delivers every job, counters only — the sustained-throughput entry
     point ([bench --soak] drives tens of millions of publications
     through it in one process).
-    @raise Invalid_argument after {!shutdown}. *)
+    @raise Invalid_argument after {!shutdown}, or before dispatching
+    anything if some job's zFilter width is not the deployment's [m],
+    its table is outside \[0, d) or its source is not a node. *)
 
 val run_collect : t -> job array -> f:(int -> Run.outcome -> unit) -> stats
 (** Like {!run} but every job takes the full allocating
     {!Run.deliver} path and [f i outcome] is invoked {e on the worker
-    domain} that ran job [i] — the differential-test entry point. *)
+    domain} that ran job [i] — the differential-test entry point.
+    @raise Invalid_argument as {!run} does. *)
 
 val run_partitioned :
   t -> Lipsin_bloom.Partition.t array -> f:(int -> Stitched.outcome -> unit) -> stats

@@ -17,6 +17,7 @@ module Generator = Lipsin_topology.Generator
 module Assignment = Lipsin_core.Assignment
 module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
+module Rows = Lipsin_forwarding.Rows
 module Net = Lipsin_sim.Net
 module Run = Lipsin_sim.Run
 module Rng = Lipsin_util.Rng
@@ -245,24 +246,23 @@ let build_fast seed =
   done;
   (Fastpath.compile engine, rng)
 
-let all_blobs fp =
-  let v = Fastpath.view fp in
+let all_rows fp =
+  let r = (Fastpath.view fp).Fastpath.view_rows in
   List.filter
-    (fun b -> Bytes.length b > 0)
+    (fun rows -> Array.length rows > 0)
     (List.concat
        [
-         Array.to_list v.Fastpath.view_phys;
-         Array.to_list v.Fastpath.view_in_tags;
-         Array.to_list v.Fastpath.view_blocks;
-         Array.to_list v.Fastpath.view_virt;
-         Array.to_list v.Fastpath.view_local;
-         Array.to_list v.Fastpath.view_svc;
+         Array.to_list r.Rows.phys;
+         Array.to_list r.Rows.in_tags;
+         Array.to_list r.Rows.blocks;
+         Array.to_list r.Rows.virt;
+         Array.to_list r.Rows.local;
+         Array.to_list r.Rows.svc;
        ])
 
-let flip_random_byte rng blob =
-  let pos = Rng.int rng (Bytes.length blob) in
-  let delta = 1 + Rng.int rng 255 in
-  Bytes.set blob pos (Char.chr (Char.code (Bytes.get blob pos) lxor delta))
+let flip_random_bit rng rows =
+  let pos = Rng.int rng (Array.length rows) in
+  rows.(pos) <- rows.(pos) lxor (1 lsl Rng.int rng Rows.group_bits)
 
 let audit_unit () =
   let fp, _ = build_fast 42 in
@@ -271,11 +271,11 @@ let audit_unit () =
   (* The kill bit is part of the audited surface: clearing a down
      port's (or setting an up port's) kill bit is caught structurally,
      without the digest. *)
-  let v = Fastpath.view fp in
-  let m = v.Fastpath.view_m in
-  let blob = v.Fastpath.view_phys.(0) in
-  let pos = m lsr 3 in
-  Bytes.set blob pos (Char.chr (Char.code (Bytes.get blob pos) lxor (1 lsl (m land 7))));
+  let r = (Fastpath.view fp).Fastpath.view_rows in
+  let m = r.Rows.m in
+  let rows = r.Rows.phys.(0) in
+  let g = m / Rows.group_bits in
+  rows.(g) <- rows.(g) lxor (1 lsl (m mod Rows.group_bits));
   Alcotest.(check bool) "kill-bit flip caught structurally" false
     (Audit.audit_ok ~check_digest:false fp);
   Alcotest.(check bool) "and by the digest" false (Audit.audit_ok fp)
@@ -283,19 +283,10 @@ let audit_unit () =
 let audit_local_popcount () =
   let fp, _ = build_fast 7 in
   (* Clearing one live bit of the local LIT breaks popcount = k. *)
-  let v = Fastpath.view fp in
-  let blob = v.Fastpath.view_local.(0) in
-  let byte = ref 0 in
-  (try
-     for i = 0 to Bytes.length blob - 1 do
-       if Char.code (Bytes.get blob i) <> 0 then begin
-         byte := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  let b = Char.code (Bytes.get blob !byte) in
-  Bytes.set blob !byte (Char.chr (b land (b - 1)));
+  let rows = (Fastpath.view fp).Fastpath.view_rows.Rows.local.(0) in
+  let g = ref 0 in
+  while rows.(!g) = 0 do incr g done;
+  rows.(!g) <- rows.(!g) land (rows.(!g) - 1);
   let checks = List.map (fun viol -> viol.Audit.check) (Audit.audit ~check_digest:false fp) in
   Alcotest.(check bool) "popcount violation raised" true
     (List.mem "popcount" checks)
@@ -328,36 +319,32 @@ let prop_audit_accepts_compiles =
       | v :: _ -> QCheck.Test.fail_report (Audit.to_string v))
 
 let prop_audit_rejects_corruption =
-  QCheck.Test.make ~name:"audit flags any single-byte blob corruption" ~count:300
+  QCheck.Test.make ~name:"audit flags any single-bit row corruption" ~count:300
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let fp, rng = build_fast seed in
-      match all_blobs fp with
+      match all_rows fp with
       | [] -> true
-      | blobs ->
-        flip_random_byte rng (List.nth blobs (Rng.int rng (List.length blobs)));
+      | rows ->
+        flip_random_bit rng (List.nth rows (Rng.int rng (List.length rows)));
         not (Audit.audit_ok fp))
 
 let prop_structural_catches_phys =
-  (* For physical entries every single-BIT flip is covered by a
+  (* For physical entries every single-bit flip is covered by a
      structural invariant — a live bit breaks popcount = k, a padding
      bit breaks the zero-padding check, bit m breaks kill-bit placement
-     — so even without the digest it cannot hide.  (Multi-bit byte
+     — so even without the digest it cannot hide.  (Multi-bit
      corruption that preserves popcount needs the digest.) *)
   QCheck.Test.make
     ~name:"structural checks alone catch single-bit phys corruption" ~count:200
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let fp, rng = build_fast seed in
-      let v = Fastpath.view fp in
-      let tbl = Rng.int rng v.Fastpath.view_d in
-      let blob = v.Fastpath.view_phys.(tbl) in
-      if Bytes.length blob = 0 then true
+      let r = (Fastpath.view fp).Fastpath.view_rows in
+      let rows = r.Rows.phys.(Rng.int rng r.Rows.d) in
+      if Array.length rows = 0 then true
       else begin
-        let pos = Rng.int rng (Bytes.length blob) in
-        let bit = Rng.int rng 8 in
-        Bytes.set blob pos
-          (Char.chr (Char.code (Bytes.get blob pos) lxor (1 lsl bit)));
+        flip_random_bit rng rows;
         not (Audit.audit_ok ~check_digest:false fp)
       end)
 

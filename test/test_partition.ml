@@ -18,6 +18,7 @@ module Stagecut = Lipsin_core.Stagecut
 module Persist = Lipsin_core.Persist
 module Node_engine = Lipsin_forwarding.Node_engine
 module Bitsliced = Lipsin_forwarding.Bitsliced
+module Rows = Lipsin_forwarding.Rows
 module Stitched = Lipsin_sim.Stitched
 module Netcheck = Lipsin_analysis.Netcheck
 module Audit = Lipsin_analysis.Audit
@@ -327,14 +328,13 @@ let test_audit_stitch_blob_mutation () =
   let bits = Bitsliced.compile e in
   Alcotest.(check bool) "clean compile audits clean" true
     (Audit.audit_bitsliced_ok bits);
-  let v = Bitsliced.view bits in
-  let blob = v.Bitsliced.view_stitch.(0) in
-  (* Flip the lowest set bit of the first live byte of the stitch LIT:
-     breaks the exact-egress_k popcount law and the row/column mirror. *)
+  let rows = (Bitsliced.view bits).Bitsliced.view_rows.Rows.stitch.(0) in
+  (* Clear the lowest set bit of the first non-empty group of the stitch
+     LIT: breaks the exact-egress_k popcount law and the row/column
+     mirror. *)
   let i = ref 0 in
-  while Bytes.get blob !i = '\000' do incr i done;
-  let c = Char.code (Bytes.get blob !i) in
-  Bytes.set blob !i (Char.chr (c lxor (c land -c)));
+  while rows.(!i) = 0 do incr i done;
+  rows.(!i) <- rows.(!i) land (rows.(!i) - 1);
   Alcotest.(check bool) "structural audit flags it" false
     (Audit.audit_bitsliced_ok ~check_digest:false bits);
   Alcotest.(check bool) "digest audit flags it" false

@@ -314,6 +314,34 @@ let prop_service_matches_sequential =
                !n)
              seq)
 
+(* --- a bad job fails alone, on the caller's side --- *)
+
+(* A 120-bit zFilter on the 248-bit Lit.default deployment used to raise
+   inside a worker domain, losing the completion handshake: Service.run
+   never returned.  SIGALRM's default action is the watchdog — if the
+   call hangs again, the process dies instead of the suite stalling. *)
+let test_bad_job_rejected () =
+  let asg, jobs = make_jobs 5 ~nodes:30 ~count:16 in
+  let svc = Service.create ~workers:2 ~engine:`Fast asg in
+  ignore (Unix.alarm 30);
+  let rejects what call =
+    match call () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let narrow = { (jobs.(0)) with Service.job_zfilter = Zfilter.create ~m:120 } in
+  rejects "120-bit zFilter" (fun () -> Service.run svc [| narrow |]);
+  rejects "run_collect, 120-bit zFilter" (fun () ->
+      Service.run_collect svc [| jobs.(1); narrow |] ~f:(fun _ _ -> ()));
+  rejects "table out of range" (fun () ->
+      Service.run svc [| { (jobs.(0)) with Service.job_table = Lit.default.Lit.d } |]);
+  rejects "source out of range" (fun () ->
+      Service.run svc [| { (jobs.(0)) with Service.job_src = -1 } |]);
+  let st = Service.run svc jobs in
+  ignore (Unix.alarm 0);
+  Service.shutdown svc;
+  check_totals "after the rejected batches" st (sequential ~engine:`Fast asg jobs)
+
 let () =
   Alcotest.run "service"
     [
@@ -333,7 +361,11 @@ let () =
             test_deliver_into_matches_deliver;
         ] );
       ( "lifecycle",
-        [ Alcotest.test_case "pool reuse + shutdown" `Quick test_pool_reuse ] );
+        [
+          Alcotest.test_case "pool reuse + shutdown" `Quick test_pool_reuse;
+          Alcotest.test_case "bad job rejected, pool still serves" `Quick
+            test_bad_job_rejected;
+        ] );
       ( "partitioned",
         [
           Alcotest.test_case "run_partitioned == Stitched.deliver" `Quick
