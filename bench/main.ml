@@ -38,6 +38,25 @@ module Bitsliced = Lipsin_forwarding.Bitsliced
 module Header = Lipsin_packet.Header
 module Lpm = Lipsin_baseline.Lpm
 
+(* The accepted flags.  Anything else prints the usage and exits 2
+   before any fixture is built, so a stale or misspelt mode never
+   quietly runs the default suite instead. *)
+let flags = [ "--smoke"; "--alloc"; "--soak"; "--obs"; "--sweep" ]
+
+let () =
+  Array.iteri
+    (fun i a ->
+      if i > 0 && not (List.exists (String.equal a) flags) then begin
+        Printf.eprintf
+          "bench: unknown argument %s\n\
+           usage: main.exe [--smoke] [--alloc | --soak | --obs | --sweep]\n"
+          a;
+        exit 2
+      end)
+    Sys.argv
+
+let flag name = Array.exists (String.equal name) Sys.argv
+
 (* Shared fixtures, built once. *)
 
 let graph = As_presets.as6461 ()
@@ -383,7 +402,7 @@ let layering =
 
 (* --smoke: a one-iteration CI budget — proves every benchmark still
    runs without burning minutes of runner time. *)
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
+let smoke = flag "--smoke"
 
 (* --alloc: the runtime half of the allocation-freedom contract.  For
    every [@lipsin.noalloc] entry point `lipsin_lint --alloc` proves
@@ -393,7 +412,7 @@ let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
    its cache key is the one [@lipsin.allow_alloc]-suppressed site, so
    a non-zero reading there is the suppression working as documented,
    not drift.  Emits BENCH_PR7.json for the CI artifact. *)
-let alloc_mode = Array.exists (fun a -> a = "--alloc") Sys.argv
+let alloc_mode = flag "--alloc"
 
 let run_alloc () =
   let module Obs = Lipsin_obs.Obs in
@@ -491,7 +510,7 @@ let run_alloc () =
    a pair makes that round an outlier the median discards.  The
    counters-only overhead is the contract DESIGN.md states: > 3% fails
    the run.  Emits BENCH_PR4.json for the CI artifact. *)
-let obs_mode = Array.exists (fun a -> a = "--obs") Sys.argv
+let obs_mode = flag "--obs"
 
 let run_obs () =
   let module Obs = Lipsin_obs.Obs in
@@ -651,7 +670,7 @@ let run_obs () =
       engine with bit-for-bit agreement of the delivered sets.  Emits
       BENCH_PR6.json and fails if any point misses exactly-once, has
       Netcheck errors, or shows engine disagreement. *)
-let sweep_mode = Array.exists (fun a -> a = "--sweep") Sys.argv
+let sweep_mode = flag "--sweep"
 
 let run_sweep () =
   let module Stats = Lipsin_util.Stats in
@@ -912,79 +931,6 @@ let run_partition_sweep () =
     exit 1
   end
 
-(* --bounds: the runtime half of the bounds certificate.  Every kernel
-   Boundscheck certifies with unchecked accessors runs twice — once with
-   dynamic index checks on (Idx.set_checking, the LIPSIN_SAFE_INDEX
-   path) and once unchecked — and must agree bit for bit: the Bitvec
-   kernels on random vectors, one row per kernel in BENCH_PR8.json.
-   The compiled engines are not swept: both use only checked stdlib
-   accessors in their decide loops since the packed-row change, so the
-   two modes would run identical code. *)
-let bounds_mode = Array.exists (fun a -> a = "--bounds") Sys.argv
-
-let run_bounds () =
-  let module Idx = Lipsin_bitvec.Idx in
-  let was_checking = Idx.is_checking () in
-  let kernels =
-    [|
-      ("popcount", fun a _ -> string_of_int (Bitvec.popcount a));
-      ( "logor_into",
-        fun a b ->
-          let u = Bitvec.copy a in
-          Bitvec.logor_into ~dst:u b;
-          Bitvec.to_hex u );
-      ("subset", fun a b -> string_of_bool (Bitvec.subset a ~of_:b));
-      ("intersects", fun a b -> string_of_bool (Bitvec.intersects a b));
-      ("hash", fun a _ -> string_of_int (Bitvec.hash a));
-      ("get", fun a _ -> string_of_bool (Bitvec.get a (Bitvec.length a - 1)));
-      ( "iter_set",
-        fun a _ ->
-          String.concat "," (List.map string_of_int (Bitvec.set_positions a)) );
-    |]
-  in
-  let diverged = Array.make (Array.length kernels) 0 in
-  let trials = if smoke then 100 else 1_000 in
-  let rng = Rng.of_int 0xb04d5 in
-  for _ = 1 to trials do
-    let bits = 1 + Rng.int rng 300 in
-    let a = Bitvec.create bits and b = Bitvec.create bits in
-    for _ = 0 to bits / 4 do
-      Bitvec.set a (Rng.int rng bits);
-      Bitvec.set b (Rng.int rng bits)
-    done;
-    (* subset gets a superset half the time, so both verdicts occur *)
-    let b = if Rng.bool rng then Bitvec.logor a b else b in
-    Array.iteri
-      (fun i (_, f) ->
-        Idx.set_checking true;
-        let safe = f a b in
-        Idx.set_checking false;
-        if f a b <> safe then diverged.(i) <- diverged.(i) + 1)
-      kernels
-  done;
-  Idx.set_checking was_checking;
-  Printf.printf "bounds differential: %d random vectors, checked vs unchecked\n"
-    trials;
-  Array.iteri
-    (fun i (name, _) ->
-      Printf.printf "  %-12s %d diverged\n" name diverged.(i))
-    kernels;
-  let agree = Array.for_all (( = ) 0) diverged in
-  let oc = open_out "BENCH_PR8.json" in
-  Printf.fprintf oc "{\n  \"kernel_trials\": %d,\n  \"sweep\": [\n" trials;
-  Array.iteri
-    (fun i (name, _) ->
-      Printf.fprintf oc "    { \"kernel\": \"%s\", \"diverged\": %d }%s\n" name
-        diverged.(i)
-        (if i = Array.length kernels - 1 then "" else ","))
-    kernels;
-  Printf.fprintf oc "  ],\n  \"agree\": %b\n}\n" agree;
-  close_out oc;
-  if not agree then begin
-    Printf.printf "FAIL: bounds certificate gate (checked and unchecked diverge)\n%!";
-    exit 1
-  end
-
 (* --soak: the sustained-throughput gate.  Drives the persistent
    forwarding service (Service: long-lived domain pool, work-stealing
    shards, arena-recycled zero-alloc delivery) with the exact PR4
@@ -1006,7 +952,7 @@ let run_bounds () =
    Emits BENCH_PR10.json (trajectory + summary + gates) for the CI
    artifact.  Smoke mode runs ~150k publications in 1-2 s; env
    overrides: LIPSIN_SOAK_OPS, LIPSIN_SOAK_WORKERS. *)
-let soak_mode = Array.exists (fun a -> a = "--soak") Sys.argv
+let soak_mode = flag "--soak"
 
 let getenv_pos_int name default =
   match Sys.getenv_opt name with
@@ -1284,7 +1230,6 @@ let print_results results =
 let () =
   if alloc_mode then run_alloc ()
   else if soak_mode then run_soak ()
-  else if bounds_mode then run_bounds ()
   else if obs_mode then run_obs ()
   else if sweep_mode then begin
     run_sweep ();

@@ -26,16 +26,14 @@
    Findings flow through the linter's human/JSON reporters; exits 3 on
    Error-severity findings (any finding with --strict).
 
-   Alloc / races / bounds modes:
-     lipsin_lint --alloc [--races] [--bounds] [--format human|json] [CMT_DIR...]
+   Alloc / races modes:
+     lipsin_lint --alloc [--races] [--format human|json] [CMT_DIR...]
    typed-tree passes over the .cmt files dune produces (run `dune
    build` first; default root _build/default/lib): --alloc proves
    [@lipsin.noalloc] functions allocation-free (exit 4 on findings),
    --races classifies every mutable write reachable from Domain.spawn
-   bodies and reports unsanctioned shared writes (exit 5), --bounds
-   proves every index expression reachable from a [@lipsin.inbounds]
-   root in range (exit 6).  All can be combined; exit-code precedence
-   is alloc > races > bounds.
+   bodies and reports unsanctioned shared writes (exit 5).  Both can be
+   combined; alloc findings take exit-code precedence over races.
 
    Exit codes (distinct per mode so CI can tell them apart):
      0   clean
@@ -44,7 +42,6 @@
      3   netcheck errors (any finding with --strict)
      4   alloccheck findings (a noalloc proof failed)
      5   racecheck findings (unsanctioned shared write)
-     6   boundscheck findings (an in-bounds proof failed)
      64  usage or I/O error *)
 
 module Lint = Lipsin_linter.Lint
@@ -67,7 +64,7 @@ let help_text =
   \       lipsin_lint --audit --edges FILE --assignment FILE [--fill-limit F]\n\
   \       lipsin_lint --netcheck --edges FILE --assignment FILE [--partition FILE]\n\
   \                   [--fill-limit F] [--samples N] [--seed N] [--strict]\n\
-  \       lipsin_lint --alloc [--races] [--bounds] [--format human|json] [CMT_DIR...]\n\
+  \       lipsin_lint --alloc [--races] [--format human|json] [CMT_DIR...]\n\
    \n\
    modes:\n\
   \  (default)    lint .ml/.mli/dune sources against the project rules\n\
@@ -82,10 +79,6 @@ let help_text =
   \               to _build/default/lib)\n\
   \  --races      classify every mutable write reachable from a Domain.spawn\n\
   \               body; report unsanctioned shared writes with witness paths\n\
-  \  --bounds     prove every index expression reachable from a\n\
-  \               [@lipsin.inbounds] root in range (affine abstract\n\
-  \               interpretation over the .cmt typed trees); unproven\n\
-  \               accesses and unjustified suppressions are findings\n\
    \n\
    options:\n\
   \  --format human|json   report format (lint and netcheck modes)\n\
@@ -106,7 +99,6 @@ let help_text =
   \  3   netcheck errors (any finding with --strict)\n\
   \  4   alloccheck findings (a noalloc proof failed)\n\
   \  5   racecheck findings (unsanctioned shared write)\n\
-  \  6   boundscheck findings (an in-bounds proof failed)\n\
   \  64  usage or I/O error\n"
 
 let usage () =
@@ -143,7 +135,7 @@ let run_lint ~format ~paths =
 
 let default_cmt_roots = [ "_build/default/lib" ]
 
-let run_typed ~format ~paths ~alloc ~races ~bounds =
+let run_typed ~format ~paths ~alloc ~races =
   let roots = if paths = [] then default_cmt_roots else paths in
   let missing = List.filter (fun p -> not (Sys.file_exists p)) roots in
   if missing <> [] then begin
@@ -174,14 +166,7 @@ let run_typed ~format ~paths ~alloc ~races ~bounds =
     end
     else ([], 0)
   in
-  let bounds_findings, bounds_stats =
-    if bounds then begin
-      let stats, fs = Lipsin_linter.Boundscheck.run_units units in
-      (fs, Some stats)
-    end
-    else ([], None)
-  in
-  let findings = alloc_findings @ race_findings @ bounds_findings in
+  let findings = alloc_findings @ race_findings in
   (match format with
   | `Human -> print_string (Finding.report_human findings)
   | `Json -> print_string (Finding.report_json findings));
@@ -192,18 +177,8 @@ let run_typed ~format ~paths ~alloc ~races ~bounds =
   if races then
     Printf.eprintf "racecheck: %d spawn sites, %d findings\n" spawn_sites
       (List.length race_findings);
-  (match bounds_stats with
-  | Some s ->
-    Printf.eprintf
-      "boundscheck: %d inbounds roots, %d obligations (%d proved, %d \
-       suppressed), %d findings\n"
-      (List.length s.Lipsin_linter.Boundscheck.st_roots)
-      s.st_obligations s.st_proved s.st_suppressed
-      (List.length bounds_findings)
-  | None -> ());
   if alloc_findings <> [] then exit 4
   else if race_findings <> [] then exit 5
-  else if bounds_findings <> [] then exit 6
   else exit 0
 
 let load_deployment ~edges ~assignment =
@@ -309,9 +284,6 @@ let run_netcheck ~format ~edges ~assignment ~partition ~fill_limit ~samples
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* a ref rather than yet another threaded label: the parser already
-     carries eleven *)
-  let bounds = ref false in
   let rec parse args ~format ~paths ~mode ~edges ~assignment ~partition
       ~fill_limit ~samples ~seed ~strict ~alloc ~races =
     match args with
@@ -332,9 +304,8 @@ let () =
           prerr_endline "lipsin_lint: --netcheck needs --edges and --assignment";
           exit exit_usage)
       | `Lint ->
-        if alloc || races || !bounds then
+        if alloc || races then
           run_typed ~format ~paths:(List.rev paths) ~alloc ~races
-            ~bounds:!bounds
         else if paths = [] then usage ()
         else run_lint ~format ~paths:(List.rev paths))
     | "--help" :: _ | "-h" :: _ -> help ()
@@ -357,10 +328,6 @@ let () =
     | "--races" :: rest ->
       parse rest ~format ~paths ~mode ~edges ~assignment ~partition
         ~fill_limit ~samples ~seed ~strict ~alloc ~races:true
-    | "--bounds" :: rest ->
-      bounds := true;
-      parse rest ~format ~paths ~mode ~edges ~assignment ~partition
-        ~fill_limit ~samples ~seed ~strict ~alloc ~races
     | "--strict" :: rest ->
       parse rest ~format ~paths ~mode ~edges ~assignment ~partition
         ~fill_limit ~samples ~seed ~strict:true ~alloc ~races

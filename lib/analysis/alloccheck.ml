@@ -71,25 +71,18 @@ let whitelist =
           "equal"; "compare"; "min"; "max"; "ceil"; "floor"; "round";
           "trunc"; "ldexp" ] );
       ( "Bytes",
-        [ "get"; "set"; "unsafe_get"; "unsafe_set"; "length"; "fill";
-          "blit"; "blit_string"; "unsafe_blit"; "unsafe_fill"; "equal";
-          "compare"; "get_int64_le"; "set_int64_le"; "get_int64_be";
-          "get_int32_le"; "set_int32_le"; "get_uint8"; "set_uint8";
-          "get_int8"; "get_uint16_le"; "set_uint16_le" ] );
+        [ "get"; "set"; "length"; "fill"; "blit"; "blit_string";
+          "unsafe_blit"; "unsafe_fill"; "equal"; "compare"; "get_int64_le";
+          "set_int64_le"; "get_int64_be"; "get_int32_le"; "set_int32_le";
+          "get_uint8"; "set_uint8"; "get_int8"; "get_uint16_le";
+          "set_uint16_le"; "get_uint16_ne" ] );
       ( "String",
-        [ "length"; "get"; "unsafe_get"; "equal"; "compare"; "blit" ] );
+        [ "length"; "get"; "equal"; "compare"; "blit" ] );
       ( "Array",
-        [ "get"; "set"; "unsafe_get"; "unsafe_set"; "length"; "fill";
-          "blit" ] );
+        [ "get"; "set"; "length"; "fill"; "blit" ] );
       ( "Atomic",
         [ "get"; "set"; "exchange"; "compare_and_set"; "fetch_and_add";
           "incr"; "decr" ] );
-      (* Certified index primitives (PR 8): thin [@inline always]
-         wrappers over the unsafe stdlib accessors above; the int64 pair
-         compiles unboxed in straight-line code like Bytes.get_int64_le *)
-      ( "Idx",
-        [ "get"; "set"; "bget"; "bset"; "bget_u32"; "bget_i64";
-          "bset_i64"; "is_checking" ] );
       ("Hashtbl", [ "mem"; "length" ]);
       ("Queue", [ "length"; "is_empty" ]);
       ("Domain", [ "is_main_domain" ]);

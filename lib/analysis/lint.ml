@@ -69,6 +69,7 @@ let default_rules ?(domain_root = default_domain_root) ~dune_files () =
     Rules.no_poly_compare ();
     Rules.domain_safety ~in_scope;
     Rules.no_debug_io ();
+    Rules.no_unsafe_access ();
     Rules.mli_coverage ();
   ]
 

@@ -51,8 +51,8 @@ type summary = { s_writes : wevent list; s_calls : cevent list }
 let write_table =
   let entries =
     [
-      ("Array.set", 0); ("Array.unsafe_set", 0); ("Array.fill", 0);
-      ("Array.blit", 2); ("Bytes.set", 0); ("Bytes.unsafe_set", 0);
+      ("Array.set", 0); ("Array.fill", 0); ("Array.blit", 2);
+      ("Bytes.set", 0);
       ("Bytes.fill", 0); ("Bytes.blit", 2); ("Bytes.blit_string", 2);
       ("Bytes.set_int64_le", 0); ("Bytes.set_int32_le", 0);
       ("Bytes.set_uint8", 0); ("Bytes.set_uint16_le", 0);
@@ -179,8 +179,7 @@ let rec path_str sc (e : Typedtree.expression) =
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
     let key = Typed.key_of_path ~aliases:sc.aliases p in
     match (key, args) with
-    | ( ("Array.get" | "Array.unsafe_get" | "Bytes.get" | "Bytes.unsafe_get"),
-        (_, Some b) :: _ ) ->
+    | ("Array.get" | "Bytes.get"), (_, Some b) :: _ ->
       path_str sc b ^ ".(_)"
     | "!", (_, Some b) :: _ -> "!" ^ path_str sc b
     | _ -> key ^ "(..)")
@@ -199,8 +198,7 @@ let rec root_of sc (e : Typedtree.expression) =
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
     let key = Typed.key_of_path ~aliases:sc.aliases p in
     match key with
-    | "Array.get" | "Array.unsafe_get" | "Bytes.get" | "Bytes.unsafe_get"
-    | "!" -> (
+    | "Array.get" | "Bytes.get" | "!" -> (
       match args with
       | (_, Some b) :: _ -> root_of sc b
       | _ -> Runknown)
@@ -222,8 +220,7 @@ let rec cell_kind sc (e : Typedtree.expression) =
     else if dls_call key then Some Kdls
     else
       match key with
-      | "Array.get" | "Array.unsafe_get" | "Bytes.get" | "Bytes.unsafe_get"
-      | "!" -> (
+      | "Array.get" | "Bytes.get" | "!" -> (
         match args with
         | (_, Some b) :: _ -> cell_kind sc b
         | _ -> None)

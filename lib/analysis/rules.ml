@@ -330,6 +330,72 @@ let no_debug_io () =
       check;
     }
 
+(* ---- no-unsafe-access ----------------------------------------------- *)
+
+(* Every index under lib/ goes through a checked stdlib accessor, so
+   memory safety is the compiler's, even for offsets read out of
+   buffers.  Flags the unchecked stdlib accessors and any [external]
+   bound to an unchecked ([%...u] or [%...unsafe...]) primitive. *)
+
+let unchecked_modules = [ "Array"; "Bytes"; "String" ]
+let unchecked_accessors = [ "unsafe_get"; "unsafe_set" ]
+
+let unchecked_ident lid =
+  match flatten_ident lid with
+  | [ md; f ] | [ "Stdlib"; md; f ] ->
+    List.exists (String.equal md) unchecked_modules
+    && List.exists (String.equal f) unchecked_accessors
+  | _ -> false
+
+let unchecked_primitive prim =
+  let n = String.length prim in
+  n > 1
+  && Char.equal prim.[0] '%'
+  && (Char.equal prim.[n - 1] 'u' || contains_substring prim "unsafe")
+
+let no_unsafe_access () =
+  let check src ast =
+    let path = src.src_path in
+    let acc = ref [] in
+    let flag loc msg =
+      acc := finding_of_loc ~path ~rule:"no-unsafe-access" loc msg :: !acc
+    in
+    let super = Ast_iterator.default_iterator in
+    let expr self (e : Parsetree.expression) =
+      (match e.pexp_desc with
+      | Pexp_ident { txt; loc } when unchecked_ident txt ->
+        flag loc
+          (Printf.sprintf
+             "unchecked %s under lib/; use the checked accessor"
+             (String.concat "." (flatten_ident txt)))
+      | _ -> ());
+      super.expr self e
+    in
+    let value_description self (vd : Parsetree.value_description) =
+      (match List.find_opt unchecked_primitive vd.pval_prim with
+      | Some prim ->
+        flag vd.pval_loc
+          (Printf.sprintf
+             "external %s bound to the unchecked primitive %s under lib/; \
+              use the checked one"
+             vd.pval_name.txt prim)
+      | None -> ());
+      super.value_description self vd
+    in
+    let iter = { super with expr; value_description } in
+    iter.structure iter ast;
+    List.rev !acc
+  in
+  File_rule
+    {
+      name = "no-unsafe-access";
+      describe =
+        "no Array/Bytes/String unsafe_get/unsafe_set or unchecked %...u \
+         externals under lib/";
+      applies = (fun src -> under_lib src.src_path);
+      check;
+    }
+
 (* ---- mli-coverage --------------------------------------------------- *)
 
 let mli_coverage () =

@@ -20,6 +20,10 @@
       state ([Random.State] is exempt).
     - {b no-debug-io}: bans stdout printers ([print_endline],
       [Printf.printf], [Format.printf], ...) anywhere under [lib/].
+    - {b no-unsafe-access}: bans [Array]/[Bytes]/[String]
+      [unsafe_get]/[unsafe_set] and any [external] bound to an
+      unchecked [%...u] primitive anywhere under [lib/], so every index
+      keeps the compiler's bounds check.
     - {b mli-coverage}: every [lib/**/*.ml] must have a matching
       [.mli].
 
@@ -55,4 +59,5 @@ val domain_safety : in_scope:(string -> bool) -> t
     dune dependency graph via {!Deps.reachable_dirs}. *)
 
 val no_debug_io : unit -> t
+val no_unsafe_access : unit -> t
 val mli_coverage : unit -> t

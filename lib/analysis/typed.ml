@@ -242,8 +242,6 @@ let attr_payload_string name attrs =
 let noalloc_attr = "lipsin.noalloc"
 let allow_alloc_attr = "lipsin.allow_alloc"
 let allow_race_attr = "lipsin.allow_race"
-let inbounds_attr = "lipsin.inbounds"
-let allow_unchecked_attr = "lipsin.allow_unchecked"
 
 (* ---- misc shared helpers ------------------------------------------- *)
 

@@ -67,8 +67,6 @@ val attr_payload_string : string -> Parsetree.attributes -> string option
 val noalloc_attr : string
 val allow_alloc_attr : string
 val allow_race_attr : string
-val inbounds_attr : string
-val allow_unchecked_attr : string
 
 val finding_of_loc :
   file:string -> rule:string -> Location.t -> string -> Finding.t

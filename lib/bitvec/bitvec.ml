@@ -17,27 +17,27 @@ let copy t = { bits = t.bits; data = Bytes.copy t.data }
 let check_index t i =
   if i < 0 || i >= t.bits then invalid_arg "Bitvec: index out of range"
 
-let[@lipsin.inbounds] get t i =
+let get t i =
   check_index t i;
-  Char.code (Idx.bget t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  Char.code (Bytes.get t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let[@lipsin.inbounds] set t i =
-  check_index t i;
-  let b = i lsr 3 in
-  Idx.bset t.data b (Char.chr (Char.code (Idx.bget t.data b) lor (1 lsl (i land 7))))
-
-let[@lipsin.inbounds] clear t i =
+let set t i =
   check_index t i;
   let b = i lsr 3 in
-  Idx.bset t.data b (Char.chr (Char.code (Idx.bget t.data b) land lnot (1 lsl (i land 7)) land 0xff))
+  Bytes.set t.data b (Char.chr (Char.code (Bytes.get t.data b) lor (1 lsl (i land 7))))
 
-let[@lipsin.inbounds] mask_padding t =
+let clear t i =
+  check_index t i;
+  let b = i lsr 3 in
+  Bytes.set t.data b (Char.chr (Char.code (Bytes.get t.data b) land lnot (1 lsl (i land 7)) land 0xff))
+
+let mask_padding t =
   (* Keep bits beyond [t.bits] in the last byte at zero. *)
   let rem = t.bits land 7 in
   if rem <> 0 then begin
     let last = Bytes.length t.data - 1 in
     let m = (1 lsl rem) - 1 in
-    Idx.bset t.data last (Char.chr (Char.code (Idx.bget t.data last) land m))
+    Bytes.set t.data last (Char.chr (Char.code (Bytes.get t.data last) land m))
   end
 
 let set_all t =
@@ -46,8 +46,18 @@ let set_all t =
 
 let reset t = Bytes.fill t.data 0 (Bytes.length t.data) '\000'
 
+(* The 4 bytes at [i .. i + 3] as one native int, from two checked
+   16-bit reads: a compiler primitive returning a tagged int, so no
+   compiler boxes it (the int64 accessors do).  The byte order inside
+   the group is platform-dependent, which the bitwise kernels below
+   (subset, intersects, popcount) never observe because both operands
+   come through this helper; do not use it where the numeric value
+   matters. *)
+let[@inline always] get_u32 b i =
+  Bytes.get_uint16_ne b i lor (Bytes.get_uint16_ne b (i + 2) lsl 16)
+
 (* SWAR popcount on a native int holding at most 56 significant bits
-   (a 4-byte group from Idx.bget_u32 or a <4-byte tail).  Native int
+   (a 4-byte group from get_u32 or a <4-byte tail).  Native int
    throughout: the int64 SWAR this replaced boxed one 3-word block per
    word read on non-flambda ocamlopt, which was the entire allocation
    budget of the forwarding hot path.  The masks fit OCaml's 63-bit int
@@ -59,24 +69,24 @@ let[@inline always] [@lipsin.noalloc] popcount56 x =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F in
   ((x * 0x01010101010101) lsr 48) land 0xff
 
-let[@lipsin.noalloc] [@lipsin.inbounds] popcount_bytes b ~pos ~len =
+let[@lipsin.noalloc] popcount_bytes b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Bitvec.popcount_bytes: range out of bounds";
   let words = len lsr 2 in
   let count = ref 0 in
   for w = 0 to words - 1 do
-    count := !count + popcount56 (Idx.bget_u32 b (pos + (w lsl 2)))
+    count := !count + popcount56 (get_u32 b (pos + (w lsl 2)))
   done;
   (* Assemble the <4-byte tail into one native int and SWAR it too,
      rather than walking it byte by byte. *)
   let tail = ref 0 and shift = ref 0 in
   for i = pos + (words lsl 2) to pos + len - 1 do
-    tail := !tail lor (Char.code (Idx.bget b i) lsl !shift);
+    tail := !tail lor (Char.code (Bytes.get b i) lsl !shift);
     shift := !shift + 8
   done;
   !count + popcount56 !tail
 
-let[@lipsin.noalloc] [@lipsin.inbounds] popcount t =
+let[@lipsin.noalloc] popcount t =
   popcount_bytes t.data ~pos:0 ~len:(Bytes.length t.data)
 
 let fill_ratio t = float_of_int (popcount t) /. float_of_int t.bits
@@ -102,52 +112,52 @@ let logand a b =
   done;
   out
 
-let[@lipsin.inbounds] logor_into ~dst src =
+let logor_into ~dst src =
   check_same_length dst src;
   for i = 0 to Bytes.length dst.data - 1 do
-    Idx.bset dst.data i
-      (Char.chr (Char.code (Idx.bget dst.data i) lor Char.code (Idx.bget src.data i)))
+    Bytes.set dst.data i
+      (Char.chr (Char.code (Bytes.get dst.data i) lor Char.code (Bytes.get src.data i)))
   done
 
-let[@lipsin.noalloc] [@lipsin.inbounds] subset a ~of_ =
+let[@lipsin.noalloc] subset a ~of_ =
   check_same_length a of_;
   let n = Bytes.length a.data in
   let words = n / 4 in
   (* while/ref loops instead of local recursive functions: the closures
      those allocate are the only heap traffic on this path.  Native-int
-     4-byte groups (Idx.bget_u32): the int64 reads this replaced boxed
+     4-byte groups (get_u32): the int64 reads this replaced boxed
      on non-flambda ocamlopt. *)
   let ok = ref true in
   let w = ref 0 in
   while !ok && !w < words do
-    let x = Idx.bget_u32 a.data (4 * !w) in
-    let y = Idx.bget_u32 of_.data (4 * !w) in
+    let x = get_u32 a.data (4 * !w) in
+    let y = get_u32 of_.data (4 * !w) in
     if x land y <> x then ok := false;
     incr w
   done;
   let i = ref (4 * words) in
   while !ok && !i < n do
-    let x = Char.code (Idx.bget a.data !i) in
-    let y = Char.code (Idx.bget of_.data !i) in
+    let x = Char.code (Bytes.get a.data !i) in
+    let y = Char.code (Bytes.get of_.data !i) in
     if x land y <> x then ok := false;
     incr i
   done;
   !ok
 
-let[@lipsin.noalloc] [@lipsin.inbounds] intersects a b =
+let[@lipsin.noalloc] intersects a b =
   check_same_length a b;
   let n = Bytes.length a.data in
   let words = n / 4 in
   let hit = ref false in
   let w = ref 0 in
   while (not !hit) && !w < words do
-    if Idx.bget_u32 a.data (4 * !w) land Idx.bget_u32 b.data (4 * !w) <> 0
+    if get_u32 a.data (4 * !w) land get_u32 b.data (4 * !w) <> 0
     then hit := true;
     incr w
   done;
   let i = ref (4 * words) in
   while (not !hit) && !i < n do
-    if Char.code (Idx.bget a.data !i) land Char.code (Idx.bget b.data !i) <> 0 then
+    if Char.code (Bytes.get a.data !i) land Char.code (Bytes.get b.data !i) <> 0 then
       hit := true;
     incr i
   done;
@@ -159,9 +169,9 @@ let compare a b =
   let c = Int.compare a.bits b.bits in
   if c <> 0 then c else Bytes.compare a.data b.data
 
-let[@lipsin.inbounds] iter_set t f =
+let iter_set t f =
   for i = 0 to t.bits - 1 do
-    if Char.code (Idx.bget t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0 then f i
+    if Char.code (Bytes.get t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0 then f i
   done
 
 let set_positions t =
@@ -227,12 +237,12 @@ let of_bytes n b =
 let fnv_offset = 0xcbf29ce484222
 let fnv_prime = 0x100000001b3
 
-let[@lipsin.noalloc] [@lipsin.inbounds] hash t =
+let[@lipsin.noalloc] hash t =
   let h = ref fnv_offset in
   h := (!h lxor (t.bits land 0xff)) * fnv_prime;
   h := (!h lxor ((t.bits lsr 8) land 0xff)) * fnv_prime;
   for i = 0 to Bytes.length t.data - 1 do
-    h := (!h lxor Char.code (Idx.bget t.data i)) * fnv_prime
+    h := (!h lxor Char.code (Bytes.get t.data i)) * fnv_prime
   done;
   !h land max_int
 

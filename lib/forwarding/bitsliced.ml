@@ -444,14 +444,9 @@ let loop_cache_find t key =
 (* Row-wise Algorithm 1, for the (sparse) entry kinds the sweep does
    not cover: block vetoes and the node-local LIT.  The same packed-row
    kernel as Fastpath's, kept in this compilation unit so no entry test
-   crosses a module boundary. *)
-let[@lipsin.noalloc] [@lipsin.allow_unchecked
-                       "checked stdlib reads: an index outside the row or \
-                        the filter raises instead of reading out of \
-                        bounds; the offsets come from the audited \
-                        block_off table and the groups count shared by \
-                        Rows.t and every Rows.filter of the same m"] subset
-    rows off zg groups =
+   crosses a module boundary.  [off] comes from the audited block_off
+   table. *)
+let[@lipsin.noalloc] subset rows off zg groups =
   let g = ref 0 in
   while
     !g < groups
@@ -472,13 +467,10 @@ let tz_table =
 let ctz32 x = Array.get tz_table ((((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
 (* Cuts the loaded filter's padded byte copy into plane-index values:
-   one byte or two nibbles per byte. *)
-let[@lipsin.allow_unchecked
-     "plane values: a loaded filter of this engine's m carries at least \
-      stride_for m = stride bytes (checked reads regardless), and npos = \
-      8 * stride / plane_bits is stride or 2 * stride; both are \
-      divisions the affine layout facts cannot carry"] fill_vals ~bits
-    ~stride zf vals ~voff =
+   one byte or two nibbles per byte.  [zf] holds at least [stride]
+   bytes, since a filter of this engine's m is [Rows.bytes_for ~m]
+   long. *)
+let fill_vals ~bits ~stride zf vals ~voff =
   if bits = 8 then
     for i = 0 to stride - 1 do
       Array.set vals (voff + i) (Char.code (Bytes.get zf i))
@@ -492,14 +484,10 @@ let[@lipsin.allow_unchecked
 
 (* The column sweep: OR one plane row per active position into the dead
    masks.  Specialised for the one- and two-sub-block shapes (<= 64
-   entries) so the accumulators live in registers. *)
-let[@lipsin.allow_unchecked
-     "column sweep: build_slice sizes each plane row set as npos * \
-      2^plane_bits * sl_sub, every position in sl_active is < npos, and \
-      the packed (pos lsl bits) lor value row index plus the dead-mask \
-      scratch (sized to the largest sl_sub at build time) are bit-level \
-      invariants the affine domain cannot carry; Audit checks the plane \
-      geometry and used maps"] sweep ~bits sl vals ~voff dead ~doff =
+   entries) so the accumulators live in registers.  build_slice sizes
+   each plane as npos * 2^bits * sl_sub and keeps every active
+   position below npos. *)
+let sweep ~bits sl vals ~voff dead ~doff =
   let plane = sl.sl_plane in
   let act = sl.sl_active in
   let n_act = Array.length act in
@@ -534,12 +522,7 @@ let[@lipsin.allow_unchecked
 (* Position-outer sweep over a chunk of packets: each plane row is
    reused across the whole chunk before moving on — the batch
    amortisation of the column sweep. *)
-let[@lipsin.allow_unchecked
-     "batch column sweep: the same plane-row and dead-scratch geometry \
-      as [sweep], with per-packet offsets i * npos and i * sl_sub that \
-      stay inside the batch_cap-sized compile scratch; Audit checks the \
-      plane geometry and used maps"] sweep_batch ~bits sl batch_vals
-    ~npos batch_dead ~len ok =
+let sweep_batch ~bits sl batch_vals ~npos batch_dead ~len ok =
   let plane = sl.sl_plane in
   let act = sl.sl_active in
   let sub = sl.sl_sub in
@@ -583,23 +566,16 @@ let finish t ~obs ~table ~in_link_index ~(filter : Rows.filter) ~vals ~voff
        if d.drop = no_drop then begin
          let sl = Array.get t.sl_in table in
          let risky = ref false in
-         (for s = 0 to sl.sl_sub - 1 do
-            let a =
-              ref (Array.get sl.sl_valid s land lnot (Array.get idead (idoff + s)))
-            in
-            while !a <> 0 do
-              let p = (s lsl 5) + ctz32 !a in
-              a := !a land (!a - 1);
-              if Array.get r.Rows.out_index p <> in_link_index then risky := true
-            done
-          done
-         [@lipsin.allow_unchecked
-           "survivor recovery: the dead scratch is sized to the largest \
-            sl_sub across tables (and batch_cap chunks) at build time, \
-            and p = 32 s + ctz32 mask stays below n_ports because \
-            sl_valid only populates bits for real entries (Audit checks \
-            the valid masks); both are bit-mask facts outside the affine \
-            domain"]);
+         for s = 0 to sl.sl_sub - 1 do
+           let a =
+             ref (Array.get sl.sl_valid s land lnot (Array.get idead (idoff + s)))
+           in
+           while !a <> 0 do
+             let p = (s lsl 5) + ctz32 !a in
+             a := !a land (!a - 1);
+             if Array.get r.Rows.out_index p <> in_link_index then risky := true
+           done
+         done;
          if !risky then begin
            d.loop_suspected <- true;
            if obs then bump t.obs.msusp;
@@ -622,97 +598,73 @@ let finish t ~obs ~table ~in_link_index ~(filter : Rows.filter) ~vals ~voff
     let sl = Array.get t.sl_phys table in
     let btab = Array.get r.Rows.blocks table in
     let boff = Array.get r.Rows.block_off table in
-    (for s = 0 to sl.sl_sub - 1 do
-       let a =
-         ref (Array.get sl.sl_valid s land lnot (Array.get pdead (pdoff + s)))
-       in
-       while !a <> 0 do
-         let p = (s lsl 5) + ctz32 !a in
-         a := !a land (!a - 1);
-         let blocked = ref false in
-         for b = Array.get boff p to Array.get boff (p + 1) - 1 do
-           if subset btab (b * groups) zg groups then blocked := true
-         done;
-         if obs && !blocked then bump t.obs.mveto;
-         if (not !blocked) && Array.get t.seen p <> gen then begin
-           Array.set t.seen p gen;
-           Array.set d.forward d.n_forward p;
-           d.n_forward <- d.n_forward + 1
-         end
-       done
-     done
-    [@lipsin.allow_unchecked
-      "survivor recovery: p = 32 s + ctz32 mask is < n_ports via the \
-       audited valid masks and the dead scratch is sized to the largest \
-       sl_sub at build time; boff rows are monotone offsets into the \
-       per-table blocks rows of boff.(n_ports) packed entries \
-       (Audit invariant), seen has at least n_ports entries, and \
-       forward holds at most n_ports entries because the seen \
-       generation stamp admits each port once per decision"]);
+    for s = 0 to sl.sl_sub - 1 do
+      let a =
+        ref (Array.get sl.sl_valid s land lnot (Array.get pdead (pdoff + s)))
+      in
+      while !a <> 0 do
+        let p = (s lsl 5) + ctz32 !a in
+        a := !a land (!a - 1);
+        let blocked = ref false in
+        for b = Array.get boff p to Array.get boff (p + 1) - 1 do
+          if subset btab (b * groups) zg groups then blocked := true
+        done;
+        if obs && !blocked then bump t.obs.mveto;
+        if (not !blocked) && Array.get t.seen p <> gen then begin
+          Array.set t.seen p gen;
+          Array.set d.forward d.n_forward p;
+          d.n_forward <- d.n_forward + 1
+        end
+      done
+    done;
     let slv = Array.get t.sl_virt table in
     if slv.sl_n > 0 then begin
       Array.fill t.dead_aux 0 slv.sl_sub 0;
       sweep ~bits slv vals ~voff t.dead_aux ~doff:0;
-      (for s = 0 to slv.sl_sub - 1 do
-         let a = ref (Array.get slv.sl_valid s land lnot (Array.get t.dead_aux s)) in
-         while !a <> 0 do
-           let v = (s lsl 5) + ctz32 !a in
-           a := !a land (!a - 1);
-           for j = Array.get r.Rows.v_out_off v to Array.get r.Rows.v_out_off (v + 1) - 1 do
-             let p = Array.get r.Rows.v_out_ports j in
-             if Array.get r.Rows.up p && Array.get t.seen p <> gen then begin
-               Array.set t.seen p gen;
-               Array.set d.forward d.n_forward p;
-               d.n_forward <- d.n_forward + 1
-             end
-           done
-         done
-       done
-      [@lipsin.allow_unchecked
-        "virtual-link recovery: v = 32 s + ctz32 mask is < n_virt via \
-         the audited valid masks, v_out_off carries n_virt + 1 monotone \
-         offsets bounding j inside v_out_ports, and every port read \
-         from v_out_ports is < n_ports (Audit checks the indirection); \
-         all content-dependent"])
+      for s = 0 to slv.sl_sub - 1 do
+        let a = ref (Array.get slv.sl_valid s land lnot (Array.get t.dead_aux s)) in
+        while !a <> 0 do
+          let v = (s lsl 5) + ctz32 !a in
+          a := !a land (!a - 1);
+          for j = Array.get r.Rows.v_out_off v to Array.get r.Rows.v_out_off (v + 1) - 1 do
+            let p = Array.get r.Rows.v_out_ports j in
+            if Array.get r.Rows.up p && Array.get t.seen p <> gen then begin
+              Array.set t.seen p gen;
+              Array.set d.forward d.n_forward p;
+              d.n_forward <- d.n_forward + 1
+            end
+          done
+        done
+      done
     end;
     d.deliver_local <- subset (Array.get r.Rows.local table) 0 zg groups;
     let sls = Array.get t.sl_svc table in
     if sls.sl_n > 0 then begin
       Array.fill t.dead_aux 0 sls.sl_sub 0;
       sweep ~bits sls vals ~voff t.dead_aux ~doff:0;
-      (for s = 0 to sls.sl_sub - 1 do
-         let a = ref (Array.get sls.sl_valid s land lnot (Array.get t.dead_aux s)) in
-         while !a <> 0 do
-           let sv = (s lsl 5) + ctz32 !a in
-           a := !a land (!a - 1);
-           Array.set d.services d.n_services sv;
-           d.n_services <- d.n_services + 1
-         done
-       done
-      [@lipsin.allow_unchecked
-        "service recovery: sv = 32 s + ctz32 mask is < sl_n <= length \
-         svc_names via the audited valid masks, and services holds \
-         sl_n entries because each valid bit is drained once per \
-         decision; content-dependent"])
+      for s = 0 to sls.sl_sub - 1 do
+        let a = ref (Array.get sls.sl_valid s land lnot (Array.get t.dead_aux s)) in
+        while !a <> 0 do
+          let sv = (s lsl 5) + ctz32 !a in
+          a := !a land (!a - 1);
+          Array.set d.services d.n_services sv;
+          d.n_services <- d.n_services + 1
+        done
+      done
     end;
     let slx = Array.get t.sl_stitch table in
     if slx.sl_n > 0 then begin
       Array.fill t.dead_aux 0 slx.sl_sub 0;
       sweep ~bits slx vals ~voff t.dead_aux ~doff:0;
-      (for s = 0 to slx.sl_sub - 1 do
-         let a = ref (Array.get slx.sl_valid s land lnot (Array.get t.dead_aux s)) in
-         while !a <> 0 do
-           let sx = (s lsl 5) + ctz32 !a in
-           a := !a land (!a - 1);
-           Array.set d.stitches d.n_stitch sx;
-           d.n_stitch <- d.n_stitch + 1
-         done
-       done
-      [@lipsin.allow_unchecked
-        "stitch recovery: sx = 32 s + ctz32 mask is < sl_n <= length \
-         stitch_next via the audited valid masks, and stitches holds \
-         sl_n entries because each valid bit is drained once per \
-         decision; content-dependent"])
+      for s = 0 to slx.sl_sub - 1 do
+        let a = ref (Array.get slx.sl_valid s land lnot (Array.get t.dead_aux s)) in
+        while !a <> 0 do
+          let sx = (s lsl 5) + ctz32 !a in
+          a := !a land (!a - 1);
+          Array.set d.stitches d.n_stitch sx;
+          d.n_stitch <- d.n_stitch + 1
+        done
+      done
     end;
     if obs then begin
       Obs.Histogram.record_int t.obs.hadm d.n_forward;
@@ -732,8 +684,8 @@ let reset_decision d =
   d.drop <- no_drop;
   d.tests <- 0
 
-let[@lipsin.noalloc] [@lipsin.inbounds] decide_loaded t ~table
-    ~(filter : Rows.filter) ~in_link_index =
+let[@lipsin.noalloc] decide_loaded t ~table ~(filter : Rows.filter)
+    ~in_link_index =
   let obs = Obs.enabled () in
   if obs then bump t.obs.md;
   let d = t.decision in
@@ -769,7 +721,7 @@ let[@lipsin.noalloc] decide t ~table ~zfilter ~in_link_index =
   Rows.load t.scratch zfilter;
   decide_loaded t ~table ~filter:t.scratch ~in_link_index
 
-let[@lipsin.noalloc] [@lipsin.inbounds] decide_batch t ~table inputs ~f =
+let[@lipsin.noalloc] decide_batch t ~table inputs ~f =
   if table < 0 || table >= t.rows.Rows.d then
     for i = 0 to Array.length inputs - 1 do
       let zfilter, in_link_index = Array.get inputs i in
@@ -790,20 +742,8 @@ let[@lipsin.noalloc] [@lipsin.inbounds] decide_batch t ~table inputs ~f =
          entry point in phase 2, which re-checks (and raises or drops)
          at its proper sequential position. *)
       for i = 0 to len - 1 do
-        let zfilter, _ =
-          (Array.get inputs (!start + i)
-          [@lipsin.allow_unchecked
-            "chunk cursor: start advances by len = min batch_cap (n - \
-             start) >= 1 and stays inside [0, n); the non-constant step \
-             defeats the monotone-counter write classification"])
-        in
-        let filter =
-          (Array.get t.batch_filters i
-          [@lipsin.allow_unchecked
-            "batch_filters holds batch_cap buffers (compile) and i < len \
-             <= batch_cap; the min-bounded len is outside the affine \
-             domain"])
-        in
+        let zfilter, _ = Array.get inputs (!start + i) in
+        let filter = Array.get t.batch_filters i in
         Rows.load filter zfilter;
         let ok = filter.Rows.width = m && filter.Rows.pop <= t.fill_threshold in
         Array.set t.batch_ok i ok;
@@ -822,13 +762,7 @@ let[@lipsin.noalloc] [@lipsin.inbounds] decide_batch t ~table inputs ~f =
       (* Phase 2: sequential decisions off the precomputed masks, so
          loop-cache evolution matches packet-by-packet semantics. *)
       for i = 0 to len - 1 do
-        let zfilter, in_link_index =
-          (Array.get inputs (!start + i)
-          [@lipsin.allow_unchecked
-            "chunk cursor: start advances by len = min batch_cap (n - \
-             start) >= 1 and stays inside [0, n); the non-constant step \
-             defeats the monotone-counter write classification"])
-        in
+        let zfilter, in_link_index = Array.get inputs (!start + i) in
         if not (Array.get t.batch_ok i) then
           (f (!start + i) (decide t ~table ~zfilter ~in_link_index)
           [@lipsin.allow_alloc "sink callback supplied by the caller"])
@@ -838,11 +772,7 @@ let[@lipsin.noalloc] [@lipsin.inbounds] decide_batch t ~table inputs ~f =
           reset_decision t.decision;
           (f (!start + i)
              (finish t ~obs ~table ~in_link_index
-                ~filter:
-                  (Array.get t.batch_filters i
-                  [@lipsin.allow_unchecked
-                    "batch_filters holds batch_cap buffers (compile) and i \
-                     < len <= batch_cap"])
+                ~filter:(Array.get t.batch_filters i)
                 ~vals:t.batch_vals ~voff:(i * npos) ~pdead:t.batch_dead_phys
                 ~pdoff:(i * slp.sl_sub) ~idead:t.batch_dead_in
                 ~idoff:(i * sli.sl_sub))

@@ -27,12 +27,8 @@ let bytes_for ~m = 8 * (groups_for ~m + 1)
    [Int64.to_int] drops the 64th when s = 0, and when s >= 2 the next
    byte supplies the s - 1 still missing ([lsl] drops its surplus).  One
    load pair per group, where a byte loop would need eight or nine
-   dependent steps. *)
-let[@inline] [@lipsin.allow_unchecked
-               "checked stdlib accessors: the buffers are bytes_for m long, \
-                eight bytes past the last group's first byte, and an index \
-                outside them raises; 63g / 8 is a division the affine \
-                domain cannot carry"] group src g =
+   dependent steps.  [src] must be [bytes_for ~m] long. *)
+let[@inline] group src g =
   let bit = g * group_bits in
   let lo = bit lsr 3 and s = bit land 7 in
   let x = Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le src lo) s) in
@@ -40,10 +36,7 @@ let[@inline] [@lipsin.allow_unchecked
 
 (* Writes the [groups] ints of one packed row at [off] from [src], which
    must be zero beyond the vector. *)
-let[@lipsin.noalloc] [@lipsin.allow_unchecked
-                       "checked stdlib writes: off + g < off + groups, \
-                        inside the row the caller sized"] pack src dst ~off
-    ~groups =
+let[@lipsin.noalloc] pack src dst ~off ~groups =
   for g = 0 to groups - 1 do
     Array.set dst (off + g) (group src g)
   done

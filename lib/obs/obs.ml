@@ -306,15 +306,9 @@ module Histogram = struct
   let small =
     Array.init 1025 (fun i -> if i = 0 then 0 else bucket_slow (float_of_int i))
 
-  let[@lipsin.inbounds] bucket_of v =
+  let bucket_of v =
     if v <= 0.0 then 0
-    else if v >= 1.0 && v <= 1024.0 then
-      (Array.unsafe_get small
-         (int_of_float (Float.ceil v))
-       [@lipsin.allow_unchecked
-         "float-guarded: 1.0 <= v <= 1024.0 so ceil v lands in [1, 1024] \
-          and small has 1025 entries; the guard is float arithmetic the \
-          affine domain cannot see"])
+    else if v >= 1.0 && v <= 1024.0 then small.(int_of_float (Float.ceil v))
     else bucket_slow v
 
   let le_bound i = Float.ldexp 1.0 (i - 31)
@@ -324,52 +318,27 @@ module Histogram = struct
   let local t = local_cell t
 
   (* Unconditional: for hot paths that checked {!enabled} themselves.
-     The unsafe accesses are covered by construction: [bucket_of] clamps
-     to [0, n_buckets) and cells carry [n_buckets + pad] ints and [pad]
-     floats. *)
-  let[@lipsin.noalloc]
-     [@lipsin.allow_unchecked
-       "covered by construction: bucket_of clamps to [0, n_buckets) and \
-        histogram cells carry n_buckets + pad ints and pad >= 2 floats \
-        (cell_of_kind); the cell type is shared with counters, so the \
-        bound is not expressible as a type-keyed layout fact"] record c v
-      =
+     [bucket_of] stays in [0, n_buckets); histogram cells carry
+     [n_buckets + pad] ints and [pad >= 2] floats (cell_of_kind). *)
+  let[@lipsin.noalloc] record c v =
     let i = bucket_of v in
-    Array.unsafe_set c.ints i (Array.unsafe_get c.ints i + 1);
-    Array.unsafe_set c.floats 0 (Array.unsafe_get c.floats 0 +. v);
-    if v > Array.unsafe_get c.floats 1 then Array.unsafe_set c.floats 1 v
+    c.ints.(i) <- c.ints.(i) + 1;
+    c.floats.(0) <- c.floats.(0) +. v;
+    if v > c.floats.(1) then c.floats.(1) <- v
 
   (* The per-decision fast lane: hop counts and admitted-link counts are
      small non-negative ints, so the bucket is one table load and no
      float rounding runs at all. *)
-  let[@lipsin.noalloc] [@lipsin.inbounds] record_int c n =
-    (* the small-table read is statically certified: 1 <= n <= 1024
-       against the 1025-entry toplevel array *)
+  let[@lipsin.noalloc] record_int c n =
     let i =
       if n <= 0 then 0
-      else if n <= 1024 then Array.unsafe_get small n
+      else if n <= 1024 then small.(n)
       else bucket_slow (float_of_int n)
     in
     let v = float_of_int n in
-    (Array.unsafe_set c.ints i (Array.unsafe_get c.ints i + 1)
-     [@lipsin.allow_unchecked
-       "covered by construction: bucket indices stay in [0, n_buckets) \
-        and histogram cells carry n_buckets + pad ints (cell_of_kind); \
-        the cell type is shared with counters, so the bound is not \
-        expressible as a type-keyed layout fact"]);
-    (Array.unsafe_set c.floats 0 (Array.unsafe_get c.floats 0 +. v)
-     [@lipsin.allow_unchecked
-       "covered by construction: histogram cells carry pad >= 2 floats \
-        (cell_of_kind); shared cell type, see above"]);
-    if v > (Array.unsafe_get c.floats 1
-            [@lipsin.allow_unchecked
-              "covered by construction: histogram cells carry pad >= 2 \
-               floats (cell_of_kind); shared cell type, see above"])
-    then
-      (Array.unsafe_set c.floats 1 v
-       [@lipsin.allow_unchecked
-         "covered by construction: histogram cells carry pad >= 2 floats \
-          (cell_of_kind); shared cell type, see above"])
+    c.ints.(i) <- c.ints.(i) + 1;
+    c.floats.(0) <- c.floats.(0) +. v;
+    if v > c.floats.(1) then c.floats.(1) <- v
 
   let observe t v = if Atomic.get live then record (local_cell t) v
   let observe_int t n = if Atomic.get live then record_int (local_cell t) n

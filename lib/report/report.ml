@@ -282,8 +282,6 @@ let check_bench ~file json =
       require_fields file json [ "subscriber_sweep" ] findings
     else if String.equal base "BENCH_PR7.json" then
       require_fields file json [ "entries"; "gate" ] findings
-    else if String.equal base "BENCH_PR8.json" then
-      require_fields file json [ "sweep"; "agree" ] findings
     else if
       String.equal base "BENCH_PR4.json" || String.equal base "BENCH_PR9.json"
     then require_fields file json [ "overhead" ] findings
@@ -443,13 +441,6 @@ let known_conclusion ~file json =
            "%d of %d noalloc-gated kernels measure 0.0 minor words/op." clean
            gated)
     | _ -> None
-  else if String.equal base "BENCH_PR8.json" then
-    match Json.member "agree" json with
-    | Some (Json.Bool true) ->
-      Some
-        "Checked and bounds-certified unchecked kernels agree bit-for-bit \
-         across the sweep."
-    | _ -> Some "WARNING: checked/unchecked kernels disagreed."
   else if
     String.equal base "BENCH_PR9.json" || String.equal base "BENCH_PR4.json"
   then

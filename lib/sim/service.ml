@@ -101,6 +101,8 @@ type t = {
   cursors : int Atomic.t array;  (* per-shard claim cursor (next job) *)
   his : int array;  (* per-shard exclusive upper bound; set under [mu] *)
   mutable active : int;  (* workers still in the current batch *)
+  mutable failure : (exn * Printexc.raw_backtrace) option;
+      (* the batch's first job exception; written under [mu] *)
   mutable registered : int;
   slots : wctx option array;  (* worker contexts, published under [mu] *)
   mutable domains : unit Domain.t array;
@@ -305,9 +307,22 @@ let worker_main t id =
     else begin
       reset_wctx w;
       let m0 = Gc.minor_words () in
-      work_batch t w;
+      (* A raising job or callback must not kill the domain before the
+         handshake below, or the dispatcher waits forever.  The worker
+         leaves the batch (the other workers steal its remaining jobs)
+         and drops its stitched family, which the job may have left
+         half-installed. *)
+      let failed =
+        match work_batch t w with
+        | () -> None
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          w.w_stitched <- None;
+          Some (e, bt)
+      in
       w.w_minor <- Gc.minor_words () -. m0;
       Mutex.protect t.mu (fun () ->
+          if Option.is_none t.failure then t.failure <- failed;
           t.active <- t.active - 1;
           if t.active = 0 then Condition.broadcast t.cv_done)
     end
@@ -339,6 +354,7 @@ let create ?workers ?(engine = `Fast) ?(loop_prevention = false) ?adaptive
       cursors = Array.init n_workers (fun _ -> Atomic.make 0);
       his = Array.make n_workers 0;
       active = 0;
+      failure = None;
       registered = 0;
       slots = Array.make n_workers None;
       domains = [||];
@@ -402,7 +418,10 @@ let dispatch t ~n exec_v =
     Condition.wait t.cv_done t.mu
   done;
   t.exec <- Exec_none;
+  let failure = t.failure in
+  t.failure <- None;
   Mutex.unlock t.mu;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure;
   let elapsed = Unix.gettimeofday () -. t0 in
   let st = ref (zero_stats ~workers:t.n_workers ~elapsed) in
   Array.iter
@@ -427,9 +446,9 @@ let dispatch t ~n exec_v =
     t.slots;
   !st
 
-(* A job a worker cannot run would raise inside its domain and lose the
-   completion handshake, hanging the dispatcher; reject the whole batch
-   here instead, before any worker sees it. *)
+(* Check every job on the dispatcher before any worker sees it, so a
+   malformed job fails the whole call up front rather than part-way
+   through its batch. *)
 let validate t ~caller jobs =
   let params = Assignment.params t.assignment in
   let m = params.Lit.m and d = params.Lit.d in

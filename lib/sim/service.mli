@@ -94,13 +94,16 @@ val run_collect : t -> job array -> f:(int -> Run.outcome -> unit) -> stats
 (** Like {!run} but every job takes the full allocating
     {!Run.deliver} path and [f i outcome] is invoked {e on the worker
     domain} that ran job [i] — the differential-test entry point.
+    If [f] raises, the rest of the batch still runs and the first
+    exception is re-raised here; the pool keeps serving.
     @raise Invalid_argument as {!run} does. *)
 
 val run_partitioned :
   t -> Lipsin_bloom.Partition.t array -> f:(int -> Stitched.outcome -> unit) -> stats
 (** Staged (partitioned-zFilter) deliveries: each worker lazily builds
     its own {!Stitched} family from [adaptive], installs the partition,
-    delivers, uninstalls, and invokes [f] on the worker domain.
+    delivers, uninstalls, and invokes [f] on the worker domain.  An
+    exception from [f] or a stage is re-raised as {!run_collect} does.
     @raise Invalid_argument if the service was created without
     [~adaptive]. *)
 

@@ -143,6 +143,21 @@ let debug_io_fixtures () =
         let f () = print_endline \"hi\""
        [])
 
+let unsafe_access_fixtures () =
+  (* Positive: an unchecked stdlib accessor and unchecked externals. *)
+  check_rule_count "no-unsafe-access" 3
+    (with_mli "lib/fix/raw.ml"
+       "let f a i = Array.unsafe_get a i\n\
+        external get16 : Bytes.t -> int -> int = \"%caml_bytes_get16u\"\n\
+        external aget : 'a array -> int -> 'a = \"%array_unsafe_get\""
+       []);
+  (* Negative: checked accessors and primitives, and code outside lib/. *)
+  check_rule_count "no-unsafe-access" 0
+    (with_mli "lib/fix/checked.ml"
+       "let f a i = Array.get a i + Bytes.get_uint16_ne (Bytes.create 2) 0\n\
+        external get16 : Bytes.t -> int -> int = \"%caml_bytes_get16\""
+       [ ("bench/tool.ml", "let f s = String.unsafe_get s 0") ])
+
 let mli_coverage_fixtures () =
   check_rule_count "mli-coverage" 1 [ ("lib/fix/naked.ml", "let x = 1") ];
   check_rule_count "mli-coverage" 0
@@ -356,6 +371,8 @@ let () =
           Alcotest.test_case "no-poly-compare fixtures" `Quick poly_compare_fixtures;
           Alcotest.test_case "domain-safety fixtures" `Quick domain_safety_fixtures;
           Alcotest.test_case "no-debug-io fixtures" `Quick debug_io_fixtures;
+          Alcotest.test_case "no-unsafe-access fixtures" `Quick
+            unsafe_access_fixtures;
           Alcotest.test_case "mli-coverage fixtures" `Quick mli_coverage_fixtures;
           Alcotest.test_case "parse errors surface as findings" `Quick
             parse_error_fixture;

@@ -211,23 +211,24 @@ let prop_subset_transitive =
 
 (* --- model-based properties: Bitvec vs a naive bool array ---
 
-   The fast path trusts the word-wise kernels (subset, logor, logand,
-   popcount) on arbitrary — especially non-word-multiple — lengths, so
-   check them against the obviously-correct per-bit model. *)
+   The fast path trusts the word-wise kernels (subset, intersects,
+   logor, logand, popcount, hash) on arbitrary — especially
+   non-word-multiple — lengths, so check them against the
+   obviously-correct per-bit model. *)
 
 let model_of v = Array.init (Bitvec.length v) (Bitvec.get v)
 
 let model_pair_arb =
   (* (length, positions for a, positions for b) with lengths straddling
-     byte and 64-bit word boundaries: 1..130 covers 0, 1 and 2 whole
-     words plus ragged tails. *)
+     byte, 4-byte group and 64-bit word boundaries: 1..300 covers up to
+     nine whole 4-byte groups plus every byte tail. *)
   QCheck.make
     ~print:(fun (len, pa, pb) ->
       Printf.sprintf "len=%d a=[%s] b=[%s]" len
         (String.concat "," (List.map string_of_int pa))
         (String.concat "," (List.map string_of_int pb)))
     QCheck.Gen.(
-      int_range 1 130 >>= fun len ->
+      int_range 1 300 >>= fun len ->
       let ps = list_size (int_range 0 len) (int_range 0 (len - 1)) in
       pair ps ps >>= fun (pa, pb) -> return (len, pa, pb))
 
@@ -241,7 +242,19 @@ let prop_model_subset =
       let ma = model_of a and mb = model_of b in
       let expected = ref true in
       Array.iteri (fun i ai -> if ai && not mb.(i) then expected := false) ma;
-      Bitvec.subset a ~of_:b = !expected)
+      (* a | b makes the true verdict, which scans every group and tail
+         byte, as common as the false one. *)
+      Bitvec.subset a ~of_:b = !expected && Bitvec.subset a ~of_:(Bitvec.logor a b))
+
+let prop_model_intersects =
+  QCheck.Test.make ~name:"model: intersects = some per-bit and" ~count:500
+    model_pair_arb
+    (fun (len, pa, pb) ->
+      let a = build len pa and b = build len pb in
+      let ma = model_of a and mb = model_of b in
+      let expected = ref false in
+      Array.iteri (fun i ai -> if ai && mb.(i) then expected := true) ma;
+      Bitvec.intersects a b = !expected)
 
 let prop_model_logor =
   QCheck.Test.make ~name:"model: logor = per-bit or" ~count:500 model_pair_arb
@@ -275,6 +288,20 @@ let prop_model_popcount_fill =
       let expected = Array.fold_left (fun n b -> if b then n + 1 else n) 0 (model_of a) in
       Bitvec.popcount a = expected
       && Bitvec.fill_ratio a = float_of_int expected /. float_of_int len)
+
+(* FNV-1a over the two width bytes then the backing bytes, with the
+   64-bit offset basis truncated to OCaml's 63-bit int. *)
+let fnv1a len bytes =
+  let step h byte = (h lxor byte) * 0x100000001b3 in
+  let h = step (step 0xcbf29ce484222 (len land 0xff)) ((len lsr 8) land 0xff) in
+  Bytes.fold_left (fun h c -> step h (Char.code c)) h bytes land max_int
+
+let prop_model_hash =
+  QCheck.Test.make ~name:"model: hash" ~count:500 model_pair_arb
+    (fun (len, pa, _) ->
+      let a = build len pa in
+      Bitvec.hash a = Bitvec.hash (build len (List.rev pa))
+      && Bitvec.hash a = fnv1a len (Bitvec.to_bytes a))
 
 let prop_model_blit_into =
   QCheck.Test.make ~name:"model: blit_into copies the backing bytes" ~count:300
@@ -329,10 +356,12 @@ let () =
       ( "model",
         [
           QCheck_alcotest.to_alcotest prop_model_subset;
+          QCheck_alcotest.to_alcotest prop_model_intersects;
           QCheck_alcotest.to_alcotest prop_model_logor;
           QCheck_alcotest.to_alcotest prop_model_logand;
           QCheck_alcotest.to_alcotest prop_model_logor_into;
           QCheck_alcotest.to_alcotest prop_model_popcount_fill;
+          QCheck_alcotest.to_alcotest prop_model_hash;
           QCheck_alcotest.to_alcotest prop_model_blit_into;
         ] );
     ]

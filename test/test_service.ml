@@ -337,6 +337,14 @@ let test_bad_job_rejected () =
       Service.run svc [| { (jobs.(0)) with Service.job_table = Lit.default.Lit.d } |]);
   rejects "source out of range" (fun () ->
       Service.run svc [| { (jobs.(0)) with Service.job_src = -1 } |]);
+  (* A raising callback used to kill its worker domain mid-batch, with
+     the same hang; now the caller gets the exception. *)
+  (match
+     Service.run_collect svc jobs ~f:(fun i _ ->
+         if i = 3 then failwith "callback")
+   with
+  | _ -> Alcotest.fail "raising callback: expected Failure"
+  | exception Failure _ -> ());
   let st = Service.run svc jobs in
   ignore (Unix.alarm 0);
   Service.shutdown svc;
