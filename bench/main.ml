@@ -6,8 +6,8 @@
                  inner loop), vs the LPM IP baselines
    - alg1-fast   the same decisions through the compiled Fastpath engine
                  (contiguous word tables, preallocated decision buffer)
-   - delivery-fast  whole-tree deliveries through the fast path, plus the
-                 Domain-parallel batch front-end
+   - delivery-fast  whole-tree deliveries through the fast path, plus a
+                 64-job batch through a persistent 4-worker Service pool
    - construct   zFilter construction + candidate selection (Sec. 3.2),
                  the sender-side cost behind Tables 2/3 and Fig. 5
    - header      wire encode/decode (the per-hop rewrite of Table 4)
@@ -31,10 +31,9 @@ module Candidate = Lipsin_core.Candidate
 module Select = Lipsin_core.Select
 module Net = Lipsin_sim.Net
 module Run = Lipsin_sim.Run
-module Parallel = Lipsin_sim.Parallel
+module Service = Lipsin_sim.Service
 module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
-module Bitsliced = Lipsin_forwarding.Bitsliced
 module Header = Lipsin_packet.Header
 module Lpm = Lipsin_baseline.Lpm
 
@@ -88,7 +87,6 @@ let hub_lits =
 
 let hub_engine = Node_engine.create assignment hub
 let hub_fast = Fastpath.compile hub_engine
-let hub_bits = Bitsliced.compile hub_engine
 let fib5 = Lpm.reference_fib ()
 
 let fib_full =
@@ -134,22 +132,8 @@ let alg1_fast =
              Fastpath.decide_batch hub_fast ~table:0 batch256 ~f:(fun _ _ -> ())));
     ]
 
-let alg1_bitsliced =
-  let batch256 = Array.make 256 (zfilter16, -1) in
-  Test.make_grouped ~name:"alg1-bitsliced"
-    [
-      Test.make ~name:"bitsliced-decide-full"
-        (Staged.stage (fun () ->
-             Bitsliced.decide hub_bits ~table:0 ~zfilter:zfilter16
-               ~in_link_index:(-1)));
-      Test.make ~name:"bitsliced-batch-256"
-        (Staged.stage (fun () ->
-             Bitsliced.decide_batch hub_bits ~table:0 batch256 ~f:(fun _ _ -> ())));
-    ]
-
-(* The SWAR popcount (satellite of the bit-sliced engine PR) vs the
-   per-byte table loop it replaced, over a zFilter-sized span (31 bytes
-   for m = 248). *)
+(* The SWAR popcount vs the per-byte table loop it replaced, over a
+   zFilter-sized span (31 bytes for m = 248). *)
 let bitvec_group =
   let popbytes =
     Bytes.init 31 (fun i -> Char.chr (((i * 37) + 11) land 0xff))
@@ -218,7 +202,9 @@ let delivery =
                ~tree:tree32));
     ]
 
-let delivery_fast =
+(* [svc] is the pool the batch entry runs on, created (and shut down)
+   by the caller so the measured closure pays dispatch only. *)
+let delivery_fast svc =
   let src4, tree4 = tree_of 4 in
   let c4 = Candidate.build_one assignment ~tree:tree4 ~table:0 in
   let src32, tree32 = tree_of 32 in
@@ -229,7 +215,7 @@ let delivery_fast =
         let src, tree = tree_of users in
         let c = Candidate.build_one assignment ~tree ~table:0 in
         {
-          Parallel.job_src = src;
+          Service.job_src = src;
           job_table = 0;
           job_zfilter = c.Candidate.zfilter;
           job_tree = tree;
@@ -249,9 +235,8 @@ let delivery_fast =
         (Staged.stage (fun () ->
              Run.deliver ~engine:`Fast net ~src:src32 ~table:0
                ~zfilter:c32.Candidate.zfilter ~tree:tree32));
-      Test.make ~name:"parallel-64-jobs-4-domains"
-        (Staged.stage (fun () ->
-             Parallel.deliver_all ~domains:4 ~engine:`Fast assignment jobs));
+      Test.make ~name:"service-64-jobs-4-workers"
+        (Staged.stage (fun () -> Service.run svc jobs));
     ]
 
 let ablation_m =
@@ -421,7 +406,6 @@ let run_alloc () =
      the loop-cache key, which this build never takes). *)
   let hot_engine = Node_engine.create ~loop_prevention:false assignment hub in
   let hot_fast = Fastpath.compile hot_engine in
-  let hot_bits = Bitsliced.compile hot_engine in
   let batch256 = Array.make 256 (zfilter16, -1) in
   let iters_hot = if smoke then 10_000 else 100_000 in
   let iters_batch = if smoke then 200 else 1_000 in
@@ -448,12 +432,6 @@ let run_alloc () =
            ~in_link_index:(-1)));
   measure "fastpath-decide-batch" ~iters:iters_batch ~gated:true (fun () ->
       Fastpath.decide_batch hot_fast ~table:0 batch256 ~f:(fun _ _ -> ()));
-  measure "bitsliced-decide" ~iters:iters_hot ~gated:true (fun () ->
-      ignore
-        (Bitsliced.decide hot_bits ~table:0 ~zfilter:zfilter16
-           ~in_link_index:(-1)));
-  measure "bitsliced-decide-batch" ~iters:iters_batch ~gated:true (fun () ->
-      Bitsliced.decide_batch hot_bits ~table:0 batch256 ~f:(fun _ _ -> ()));
   measure "bitvec-popcount" ~iters:iters_hot ~gated:true (fun () ->
       ignore (Zfilter.popcount zfilter16));
   measure "bitvec-subset" ~iters:iters_hot ~gated:true (fun () ->
@@ -651,119 +629,14 @@ let run_obs () =
     exit 1
   end
 
-(* --sweep: two sweeps back to back.
-
-   1. Scalar-vs-bit-sliced decision cost over node degree.  Star
-      topologies isolate the per-port sweep (one hub, deg leaves, no
-      other structure); the zFilter pool mixes sparse and denser
-      filters so both engines run their survivor-recovery paths.  The
-      16- and 32-port rows bracket `Auto's crossover
-      (Bitsliced.auto_threshold): below it the scalar fast path must
-      win, above it the bit-sliced engine.  Emits BENCH_PR5.json and
-      fails if the bit-sliced engine is not ahead from 64 ports up —
-      the premise behind `Auto's threshold.
-
-   2. Single-filter vs partitioned zFilters over subscriber count
-      (10^3 up to 10^5; 10^6 with LIPSIN_SWEEP_HUGE=1) on two-tier
-      Rocketfuel-like topologies.  Per point: Stagecut.plan, Netcheck
-      exactly-once verification, and a stitched delivery through each
-      engine with bit-for-bit agreement of the delivered sets.  Emits
-      BENCH_PR6.json and fails if any point misses exactly-once, has
-      Netcheck errors, or shows engine disagreement. *)
+(* --sweep: single-filter vs partitioned zFilters over subscriber count
+   (10^3 up to 10^5; 10^6 with LIPSIN_SWEEP_HUGE=1) on two-tier
+   Rocketfuel-like topologies.  Per point: Stagecut.plan, Netcheck
+   exactly-once verification, and a stitched delivery through the
+   reference and fast engines with bit-for-bit agreement of the
+   delivered sets.  Emits BENCH_PR6.json and fails if any point misses
+   exactly-once, has Netcheck errors, or shows engine disagreement. *)
 let sweep_mode = flag "--sweep"
-
-let run_sweep () =
-  let module Stats = Lipsin_util.Stats in
-  let degrees = [| 8; 16; 32; 64; 256; 1024 |] in
-  let rounds = 5 in
-  let iters = if smoke then 400 else 5000 in
-  let results =
-    Array.map
-      (fun deg ->
-        let g = Graph.create ~nodes:(deg + 1) in
-        for leaf = 1 to deg do
-          Graph.add_edge g 0 leaf
-        done;
-        let asg = Assignment.make Lit.default (Rng.of_int (deg + 5)) g in
-        let engine = Node_engine.create ~loop_prevention:false asg 0 in
-        let fp = Fastpath.compile engine in
-        let bs = Bitsliced.compile engine in
-        let out = Array.of_list (Graph.out_links g 0) in
-        let rng = Rng.of_int (0x5eed + deg) in
-        let n_pool = 64 in
-        let pool =
-          Array.init n_pool (fun _ ->
-              let nsel = min 16 deg in
-              let picks = Rng.sample rng nsel deg in
-              Zfilter.of_tags ~m:Lit.default.Lit.m
-                (Array.to_list
-                   (Array.map (fun i -> Assignment.tag asg out.(i) ~table:0) picks)))
-        in
-        let batch = Array.map (fun z -> (z, -1)) pool in
-        let time_engine decide =
-          let samples =
-            Array.init rounds (fun _ ->
-                let t0 = Unix.gettimeofday () in
-                for _ = 1 to iters do
-                  Array.iter decide pool
-                done;
-                (Unix.gettimeofday () -. t0)
-                /. float_of_int (iters * n_pool) *. 1e9)
-          in
-          Stats.percentile samples 50.0
-        in
-        let scalar_ns =
-          time_engine (fun z ->
-              ignore (Fastpath.decide fp ~table:0 ~zfilter:z ~in_link_index:(-1)))
-        in
-        let bits_ns =
-          time_engine (fun z ->
-              ignore (Bitsliced.decide bs ~table:0 ~zfilter:z ~in_link_index:(-1)))
-        in
-        let batch_ns =
-          let samples =
-            Array.init rounds (fun _ ->
-                let t0 = Unix.gettimeofday () in
-                for _ = 1 to iters do
-                  Bitsliced.decide_batch bs ~table:0 batch ~f:(fun _ _ -> ())
-                done;
-                (Unix.gettimeofday () -. t0)
-                /. float_of_int (iters * n_pool) *. 1e9)
-          in
-          Stats.percentile samples 50.0
-        in
-        (deg, Bitsliced.plane_bits bs, scalar_ns, bits_ns, batch_ns))
-      degrees
-  in
-  Printf.printf "engine sweep over hub degree (%d zFilters x %d iters, median of %d rounds)\n"
-    64 iters rounds;
-  Printf.printf "%6s %6s %14s %14s %14s %9s\n" "ports" "plane" "scalar ns/op"
-    "bitsliced ns" "batch ns/op" "speedup";
-  Array.iter
-    (fun (deg, plane, s, b, bb) ->
-      Printf.printf "%6d %6d %14.1f %14.1f %14.1f %8.2fx\n%!" deg plane s b bb
-        (s /. b))
-    results;
-  let oc = open_out "BENCH_PR5.json" in
-  Printf.fprintf oc "{\n  \"sweep\": [\n";
-  Array.iteri
-    (fun i (deg, plane, s, b, bb) ->
-      Printf.fprintf oc
-        "    { \"ports\": %d, \"plane_bits\": %d, \"scalar_ns\": %.1f, \
-         \"bitsliced_ns\": %.1f, \"batch_ns\": %.1f, \"speedup\": %.2f }%s\n"
-        deg plane s b bb (s /. b)
-        (if i = Array.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  let regressed =
-    Array.exists (fun (deg, _, s, b, _) -> deg >= 64 && b > s) results
-  in
-  if regressed then begin
-    Printf.printf
-      "FAIL: bit-sliced engine slower than the scalar fast path at >= 64 ports\n%!";
-    exit 1
-  end
 
 let run_partition_sweep () =
   let module Adaptive = Lipsin_core.Adaptive in
@@ -788,7 +661,7 @@ let run_partition_sweep () =
       (List.map (fun (m, n) -> Printf.sprintf "%d:%d" m n) ws)
   in
   Printf.printf
-    "\npartition sweep: single-filter vs stitched stages over subscribers\n";
+    "subscriber sweep: single-filter vs stitched stages over subscribers\n";
   Printf.printf "%9s %7s %7s %6s %9s %6s %5s %8s %8s %9s %7s %5s\n" "subs"
     "nodes" "stages" "single" "bits" "fill" "nchk" "plan ms" "chk ms"
     "deliver" "extra" "dup";
@@ -848,8 +721,7 @@ let run_partition_sweep () =
                   fail "%d subscribers (%s): exactly-once violated: %s" count
                     name e);
                 (name, o, ms))
-              [ ("reference", `Reference); ("fast", `Fast);
-                ("bitsliced", `Bitsliced); ("auto", `Auto) ]
+              [ ("reference", `Reference); ("fast", `Fast) ]
           in
           Stitched.uninstall stitched part;
           let _, ref_o, _ = List.hd engines in
@@ -877,7 +749,7 @@ let run_partition_sweep () =
             (if single_ok then "yes" else "no")
             (Partition.total_filter_bits part)
             (Partition.max_fill part) n_errors plan_ms check_ms
-            (List.assoc "auto" deliver_ms) extra
+            (List.assoc "fast" deliver_ms) extra
             ref_o.Stitched.duplicate_handoffs;
           `Point
             ( count, core, Graph.node_count g, Graph.link_count g, d,
@@ -949,10 +821,33 @@ let run_partition_sweep () =
      sequential Run.deliver counters for the same publication (a
      silent-corruption tripwire at scale).
 
+   The ops/sec gate's baseline is BENCH_PR4.json in the working
+   directory, written by a prior `--obs` run (the file is gitignored,
+   not committed).  It is read before the soak starts; when it is
+   missing or unparsable the run exits with [exit_no_baseline] instead
+   of skipping the gate.
+
    Emits BENCH_PR10.json (trajectory + summary + gates) for the CI
    artifact.  Smoke mode runs ~150k publications in 1-2 s; env
    overrides: LIPSIN_SOAK_OPS, LIPSIN_SOAK_WORKERS. *)
 let soak_mode = flag "--soak"
+
+(* Distinct from the gate-failure exit 1, so bench/dune can pin it. *)
+let exit_no_baseline = 3
+
+(* BENCH_PR4.json's (ops_per_sec, minor_words_per_op), or [None]. *)
+let read_soak_baseline () =
+  let module Json = Lipsin_reporting.Report.Json in
+  match In_channel.with_open_bin "BENCH_PR4.json" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+    (match Json.parse text with
+    | Error _ -> None
+    | Ok j ->
+      let f k = Option.bind (Json.member k j) Json.to_float in
+      (match (f "ops_per_sec", f "minor_words_per_op") with
+      | Some o, Some m -> Some (o, m)
+      | _ -> None))
 
 let getenv_pos_int name default =
   match Sys.getenv_opt name with
@@ -962,8 +857,15 @@ let getenv_pos_int name default =
 
 let run_soak () =
   let module Obs = Lipsin_obs.Obs in
-  let module Service = Lipsin_sim.Service in
-  let module Json = Lipsin_reporting.Report.Json in
+  let base_ops, base_words =
+    match read_soak_baseline () with
+    | Some b -> b
+    | None ->
+      Printf.eprintf
+        "FAIL: BENCH_PR4.json missing or unparsable: the ops/sec gate needs \
+         the sequential baseline that `main.exe --obs` writes; run it first\n%!";
+      exit exit_no_baseline
+  in
   Obs.Sink.set Obs.Sink.Memory;
   Obs.Trace.set_recording true;
   Obs.Trace.set_sampling 1024;
@@ -1104,39 +1006,10 @@ let run_soak () =
   expect "local_deliveries" !t_locals seq.Run.local_deliveries;
   expect "nodes_reached" !t_reached seq_reached;
   let counters_ok = !failures = [] in
-  (* Baseline gates from the committed BENCH_PR4.json (the sequential
-     deliver-16-users-fast measurement this PR doubles). *)
-  let baseline =
-    let read path =
-      try
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        Some s
-      with Sys_error _ -> None
-    in
-    match read "BENCH_PR4.json" with
-    | None -> None
-    | Some text ->
-      (match Json.parse text with
-      | Error _ -> None
-      | Ok j ->
-        let f k = Option.bind (Json.member k j) Json.to_float in
-        (match (f "ops_per_sec", f "minor_words_per_op") with
-        | Some o, Some m -> Some (o, m)
-        | _ -> None))
-  in
   let words_budget = 64.0 in
-  (match baseline with
-  | Some (base_ops, _) ->
-    if ops_per_sec < 2.0 *. base_ops then
-      fail
-        "ops/sec %.1f below 2x the BENCH_PR4 sequential baseline %.1f"
-        ops_per_sec base_ops
-  | None ->
-    Printf.printf
-      "  (BENCH_PR4.json missing or unparsable: ops/sec gate skipped)\n%!");
+  if ops_per_sec < 2.0 *. base_ops then
+    fail "ops/sec %.1f below 2x the BENCH_PR4 sequential baseline %.1f"
+      ops_per_sec base_ops;
   if words_per_op > words_budget then
     fail "minor words/op %.2f over the %.0f steady-state budget"
       words_per_op words_budget;
@@ -1175,7 +1048,11 @@ let run_soak () =
     \    \"p999_us\": %.1f,\n\
     \    \"steals\": %d,\n\
     \    \"sampled_publications\": %d,\n\
-    \    \"counters_match_sequential\": %b%s\n\
+    \    \"counters_match_sequential\": %b,\n\
+    \    \"baseline_ops_per_sec\": %.1f,\n\
+    \    \"speedup_vs_pr4\": %.2f,\n\
+    \    \"pr4_minor_words_per_op\": %.1f,\n\
+    \    \"alloc_reduction_x\": %.1f\n\
     \  },\n\
     \  \"gates\": [\n\
     \    \"ops_per_sec >= 2x BENCH_PR4 deliver-16-users-fast\",\n\
@@ -1184,18 +1061,8 @@ let run_soak () =
     \  ]\n\
      }\n"
     !t_jobs !t_wall ops_per_sec words_per_op p99_us p999_us !t_steals
-    !t_sampled counters_ok
-    (match baseline with
-    | Some (base_ops, base_words) ->
-      Printf.sprintf
-        ",\n\
-        \    \"baseline_ops_per_sec\": %.1f,\n\
-        \    \"speedup_vs_pr4\": %.2f,\n\
-        \    \"pr4_minor_words_per_op\": %.1f,\n\
-        \    \"alloc_reduction_x\": %.1f"
-        base_ops (ops_per_sec /. base_ops) base_words
-        (if words_per_op > 0.0 then base_words /. words_per_op else 0.0)
-    | None -> "")
+    !t_sampled counters_ok base_ops (ops_per_sec /. base_ops) base_words
+    (if words_per_op > 0.0 then base_words /. words_per_op else 0.0)
     words_budget;
   close_out oc;
   if !failures <> [] then begin
@@ -1231,15 +1098,15 @@ let () =
   if alloc_mode then run_alloc ()
   else if soak_mode then run_soak ()
   else if obs_mode then run_obs ()
-  else if sweep_mode then begin
-    run_sweep ();
-    run_partition_sweep ()
-  end
+  else if sweep_mode then run_partition_sweep ()
   else begin
     Printf.printf "LIPSIN benchmarks (Bechamel, monotonic clock)\n%!";
-    List.iter
-      (fun tests -> print_results (benchmark tests))
-      [ alg1; alg1_fast; alg1_bitsliced; bitvec_group; construct; header;
-        delivery; delivery_fast; ablation_m; topology; extensions;
-        more_extensions; layering ]
+    let run tests = print_results (benchmark tests) in
+    List.iter run [ alg1; alg1_fast; bitvec_group; construct; header; delivery ];
+    (* The pool lives only while its group runs: idle worker domains
+       still take part in every stop-the-world minor collection. *)
+    let svc = Service.create ~workers:4 ~engine:`Fast assignment in
+    run (delivery_fast svc);
+    Service.shutdown svc;
+    List.iter run [ ablation_m; topology; extensions; more_extensions; layering ]
   end

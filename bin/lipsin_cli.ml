@@ -226,16 +226,12 @@ let engine_arg =
   Arg.(
     value
     & opt
-        (enum
-           [ ("reference", `Reference); ("fast", `Fast);
-             ("bitsliced", `Bitsliced); ("auto", `Auto) ])
+        (enum [ ("reference", `Reference); ("fast", `Fast) ])
         `Fast
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Forwarding engine: $(b,reference) (per-link subset test), \
-           $(b,fast) (compiled row-major), $(b,bitsliced) (transposed \
-           word-parallel), or $(b,auto) (bit-sliced at high-degree \
-           nodes, scalar elsewhere).")
+          "Forwarding engine: $(b,reference) (per-link subset test) or \
+           $(b,fast) (compiled row-major).")
 
 let sample_arg =
   Arg.(

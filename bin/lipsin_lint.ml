@@ -68,8 +68,7 @@ let help_text =
    \n\
    modes:\n\
   \  (default)    lint .ml/.mli/dune sources against the project rules\n\
-  \  --audit      structurally verify every node's compiled rows (packed\n\
-  \               fastpath rows and bit-sliced transposed tables)\n\
+  \  --audit      structurally verify every node's compiled fastpath rows\n\
   \  --netcheck   statically verify the deployment: LIT collisions/subsets,\n\
   \               admissible forwarding loops per table, recovery soundness,\n\
   \               and (with --samples N) loop/false-delivery/fill checks on\n\
@@ -215,17 +214,10 @@ let run_audit ~edges ~assignment ~fill_limit =
       (fun v ->
         incr violations;
         Printf.printf "node %d: %s\n" node (Audit.to_string v))
-      (Audit.audit fp);
-    let bs = Lipsin_forwarding.Bitsliced.compile engine in
-    List.iter
-      (fun v ->
-        incr violations;
-        Printf.printf "node %d (bitsliced): %s\n" node (Audit.to_string v))
-      (Audit.audit_bitsliced bs)
+      (Audit.audit fp)
   done;
   if !violations = 0 then
-    Printf.printf
-      "audit clean: %d nodes, every compiled table verified (row-major and bit-sliced)\n"
+    Printf.printf "audit clean: %d nodes, every compiled table verified\n"
       nodes
   else Printf.printf "%d violations\n" !violations;
   exit (if !violations = 0 then 0 else 2)

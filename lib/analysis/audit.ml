@@ -1,5 +1,4 @@
 module Fastpath = Lipsin_forwarding.Fastpath
-module Bitsliced = Lipsin_forwarding.Bitsliced
 module Rows = Lipsin_forwarding.Rows
 module Partition = Lipsin_bloom.Partition
 
@@ -264,269 +263,3 @@ let audit ?(check_digest = true) fp =
 
 let audit_ok ?check_digest fp =
   match audit ?check_digest fp with [] -> true | _ :: _ -> false
-
-(* ---- transposed-layout checks ------------------------------------- *)
-
-(* One column word recomputed from the rows: bit [slot - 64*blk] is
-   set iff row [slot] sets filter-bit [b]. *)
-let expected_col rows ~groups ~n ~b ~blk =
-  let w = ref 0L in
-  let lo = blk * 64 in
-  let hi = min n (lo + 64) in
-  if b < groups * Rows.group_bits then
-    for slot = lo to hi - 1 do
-      if Rows.get_bit rows ~off:(slot * groups) b then
-        w := Int64.logor !w (Int64.shift_left 1L (slot - lo))
-    done;
-  !w
-
-let audit_bitsliced ?(check_digest = true) bs =
-  let v = Bitsliced.view bs in
-  let out = ref [] in
-  let flag ?(table = -1) ?(entry = "") ?(index = -1) ?(offset = -1) check detail =
-    out := { check; table; entry; index; offset; detail } :: !out
-  in
-  let rv = v.Bitsliced.view_rows in
-  check_rows flag rv
-    {
-      forward = v.Bitsliced.view_forward_cap;
-      services = v.Bitsliced.view_services_cap;
-      stitches = v.Bitsliced.view_stitch_cap;
-      seen = v.Bitsliced.view_seen_cap;
-    };
-  let groups = rv.Rows.groups in
-  let stride = v.Bitsliced.view_stride in
-  if stride <> Rows.stride_for ~m:rv.Rows.m then
-    flag "geometry"
-      (Printf.sprintf "stride=%d, expected 8*(m/64+1)=%d" stride
-         (Rows.stride_for ~m:rv.Rows.m));
-  let ncols = stride * 8 in
-  let bits = v.Bitsliced.view_plane_bits in
-  if bits <> 4 && bits <> 8 then
-    flag "geometry" (Printf.sprintf "plane_bits=%d, expected 4 or 8" bits)
-  else begin
-    let npos = ncols / bits in
-    let vmask = (1 lsl bits) - 1 in
-    let n_svc = Array.length rv.Rows.svc_names in
-    let slices = v.Bitsliced.view_slices in
-    if Array.length slices <> rv.Rows.d then
-      flag "d-consistency" ~entry:"slices"
-        (Printf.sprintf "%d per-table slice sets for d=%d tables"
-           (Array.length slices) rv.Rows.d);
-    Array.iteri
-      (fun tbl per_table ->
-        Array.iter
-          (fun sv ->
-            let entry = sv.Bitsliced.sv_entry in
-            let expect_n, rows =
-              match entry with
-              | "phys" ->
-                ( rv.Rows.n_ports,
-                  if tbl < Array.length rv.Rows.phys then Some rv.Rows.phys.(tbl)
-                  else None )
-              | "in" ->
-                ( rv.Rows.n_ports,
-                  if tbl < Array.length rv.Rows.in_tags then Some rv.Rows.in_tags.(tbl)
-                  else None )
-              | "virt" ->
-                ( rv.Rows.n_virt,
-                  if tbl < Array.length rv.Rows.virt then Some rv.Rows.virt.(tbl)
-                  else None )
-              | "stitch" ->
-                ( Array.length rv.Rows.stitch_next,
-                  if tbl < Array.length rv.Rows.stitch then Some rv.Rows.stitch.(tbl)
-                  else None )
-              | _ ->
-                ( n_svc,
-                  if tbl < Array.length rv.Rows.svc then Some rv.Rows.svc.(tbl)
-                  else None )
-            in
-            let n = sv.Bitsliced.sv_n in
-            let blocks = (n + 63) / 64 in
-            let sub = (n + 31) / 32 in
-            if n <> expect_n then
-              flag "col-size" ~table:tbl ~entry
-                (Printf.sprintf "slice has %d entries, expected %d" n expect_n);
-            if sv.Bitsliced.sv_blocks <> blocks then
-              flag "col-size" ~table:tbl ~entry
-                (Printf.sprintf "blocks=%d, expected ceil(n/64)=%d"
-                   sv.Bitsliced.sv_blocks blocks);
-            if sv.Bitsliced.sv_sub <> sub then
-              flag "col-size" ~table:tbl ~entry
-                (Printf.sprintf "sub=%d, expected ceil(n/32)=%d" sv.Bitsliced.sv_sub
-                   sub);
-            if Bytes.length sv.Bitsliced.sv_cols <> ncols * blocks * 8 then
-              flag "col-size" ~table:tbl ~entry
-                (Printf.sprintf "column blob is %d bytes, expected %d cols * %d blocks * 8 = %d"
-                   (Bytes.length sv.Bitsliced.sv_cols)
-                   ncols blocks (ncols * blocks * 8));
-            if Bytes.length sv.Bitsliced.sv_used <> stride then
-              flag "col-size" ~table:tbl ~entry
-                (Printf.sprintf "used map is %d bytes, expected stride %d"
-                   (Bytes.length sv.Bitsliced.sv_used)
-                   stride);
-            if Array.length sv.Bitsliced.sv_valid <> sub then
-              flag "col-size" ~table:tbl ~entry
-                (Printf.sprintf "valid masks %d, expected sub %d"
-                   (Array.length sv.Bitsliced.sv_valid)
-                   sub);
-            if Array.length sv.Bitsliced.sv_plane <> npos * (vmask + 1) * sub then
-              flag "col-size" ~table:tbl ~entry
-                (Printf.sprintf "plane has %d words, expected %d pos * %d values * %d sub = %d"
-                   (Array.length sv.Bitsliced.sv_plane)
-                   npos (vmask + 1) sub
-                   (npos * (vmask + 1) * sub));
-            let sizes_ok =
-              sv.Bitsliced.sv_blocks = blocks
-              && sv.Bitsliced.sv_sub = sub
-              && Bytes.length sv.Bitsliced.sv_cols = ncols * blocks * 8
-              && Bytes.length sv.Bitsliced.sv_used = stride
-              && Array.length sv.Bitsliced.sv_valid = sub
-              && Array.length sv.Bitsliced.sv_plane = npos * (vmask + 1) * sub
-            in
-            let rows_ok =
-              match rows with
-              | Some r -> Array.length r = n * groups
-              | None -> false
-            in
-            if sizes_ok then begin
-              (* Column/row mirror: every canonical column word must be
-                 the exact transpose of the rows. *)
-              (match rows with
-              | Some rows when rows_ok ->
-                for b = 0 to ncols - 1 do
-                  for blk = 0 to blocks - 1 do
-                    let off = ((b * blocks) + blk) * 8 in
-                    let actual = Bytes.get_int64_le sv.Bitsliced.sv_cols off in
-                    let expected = expected_col rows ~groups ~n ~b ~blk in
-                    if not (Int64.equal actual expected) then
-                      flag "col-mirror" ~table:tbl ~entry ~index:blk ~offset:off
-                        (Printf.sprintf
-                           "column %d block %d is %Lx, transpose of rows gives %Lx"
-                           b blk actual expected)
-                  done
-                done
-              | _ -> ());
-              (* Kill column: transposed, column m is exactly the down
-                 ports. *)
-              if entry = "phys" && Array.length rv.Rows.up = n then begin
-                let b = rv.Rows.m in
-                for blk = 0 to blocks - 1 do
-                  let expected = ref 0L in
-                  let lo = blk * 64 in
-                  for slot = lo to min n (lo + 64) - 1 do
-                    if not rv.Rows.up.(slot) then
-                      expected := Int64.logor !expected (Int64.shift_left 1L (slot - lo))
-                  done;
-                  let off = ((b * blocks) + blk) * 8 in
-                  let actual = Bytes.get_int64_le sv.Bitsliced.sv_cols off in
-                  if not (Int64.equal actual !expected) then
-                    flag "kill-column" ~table:tbl ~entry ~index:blk ~offset:off
-                      (Printf.sprintf
-                         "kill column block %d is %Lx, down ports give %Lx" blk
-                         actual !expected)
-                done
-              end;
-              (* Used map: bit b set iff column b is nonzero. *)
-              for b = 0 to ncols - 1 do
-                let nonzero = ref false in
-                for blk = 0 to blocks - 1 do
-                  if
-                    not
-                      (Int64.equal
-                         (Bytes.get_int64_le sv.Bitsliced.sv_cols
-                            (((b * blocks) + blk) * 8))
-                         0L)
-                  then nonzero := true
-                done;
-                let marked =
-                  Char.code (Bytes.get sv.Bitsliced.sv_used (b lsr 3))
-                  land (1 lsl (b land 7))
-                  <> 0
-                in
-                if marked <> !nonzero then
-                  flag "col-used" ~table:tbl ~entry ~offset:(b lsr 3)
-                    (Printf.sprintf "used bit %d is %b but column is %s" b marked
-                       (if !nonzero then "nonzero" else "zero"))
-              done;
-              (* Active positions: ascending, exactly those with a used
-                 column. *)
-              let expected_active = ref [] in
-              for pos = npos - 1 downto 0 do
-                let any = ref false in
-                for tb = 0 to bits - 1 do
-                  let b = (pos * bits) + tb in
-                  if
-                    Char.code (Bytes.get sv.Bitsliced.sv_used (b lsr 3))
-                    land (1 lsl (b land 7))
-                    <> 0
-                  then any := true
-                done;
-                if !any then expected_active := pos :: !expected_active
-              done;
-              let expected_active = Array.of_list !expected_active in
-              if sv.Bitsliced.sv_active <> expected_active then
-                flag "col-active" ~table:tbl ~entry
-                  (Printf.sprintf "active positions [%s], used map gives [%s]"
-                     (String.concat ";"
-                        (Array.to_list
-                           (Array.map string_of_int sv.Bitsliced.sv_active)))
-                     (String.concat ";"
-                        (Array.to_list (Array.map string_of_int expected_active))));
-              (* Valid masks: slots < n per 32-slot sub-block. *)
-              Array.iteri
-                (fun s mask ->
-                  let remaining = n - (s lsl 5) in
-                  let expected =
-                    if remaining >= 32 then 0xFFFFFFFF else (1 lsl remaining) - 1
-                  in
-                  if mask <> expected then
-                    flag "col-valid" ~table:tbl ~entry ~index:s
-                      (Printf.sprintf "valid mask %#x, expected %#x" mask expected))
-                sv.Bitsliced.sv_valid;
-              (* Plane: every word must be the OR of the canonical
-                 columns its group value leaves uncovered. *)
-              for pos = 0 to npos - 1 do
-                for value = 0 to vmask do
-                  for s = 0 to sub - 1 do
-                    let expected = ref 0 in
-                    for tb = 0 to bits - 1 do
-                      if value land (1 lsl tb) = 0 then begin
-                        let b = (pos * bits) + tb in
-                        let blk = s lsr 1 in
-                        let w =
-                          Bytes.get_int64_le sv.Bitsliced.sv_cols
-                            (((b * blocks) + blk) * 8)
-                        in
-                        let part =
-                          if s land 1 = 0 then
-                            Int64.to_int (Int64.logand w 0xFFFFFFFFL)
-                          else Int64.to_int (Int64.shift_right_logical w 32)
-                        in
-                        expected := !expected lor part
-                      end
-                    done;
-                    let idx = (((pos lsl bits) lor value) * sub) + s in
-                    if sv.Bitsliced.sv_plane.(idx) <> !expected then
-                      flag "col-plane" ~table:tbl ~entry ~index:pos ~offset:idx
-                        (Printf.sprintf
-                           "plane word for value %#x sub-block %d is %#x, columns give %#x"
-                           value s sv.Bitsliced.sv_plane.(idx) !expected)
-                  done
-                done
-              done
-            end)
-          per_table)
-      slices
-  end;
-  if check_digest then begin
-    let now = Bitsliced.digest bs in
-    if now <> v.Bitsliced.view_digest then
-      flag "digest"
-        (Printf.sprintf "digest %#x no longer matches the compile-time %#x" now
-           v.Bitsliced.view_digest)
-  end;
-  List.rev !out
-
-let audit_bitsliced_ok ?check_digest bs =
-  match audit_bitsliced ?check_digest bs with [] -> true | _ :: _ -> false

@@ -12,10 +12,10 @@
    the written location hangs off (walking down field projections and
    array/bytes reads).  Parameter roots are re-rooted at every call
    site; a root produced by a function call inside the body counts as
-   domain-local (fresh-value approximation: [Parallel.run_shard]
-   builds a private [Net] per shard, and graph memos that alias shared
+   domain-local (fresh-value approximation: each [Service] worker
+   builds a private [Net], and graph memos that alias shared
    state through such containers are pre-forced by
-   [Parallel.warm_graph] and annotated [@lipsin.allow_race] at the
+   [Service.warm_graph] and annotated [@lipsin.allow_race] at the
    write site — see DESIGN.md 5h for the soundness discussion). *)
 
 let rule = "racecheck"

@@ -272,7 +272,7 @@ let domain_safety ~in_scope =
       name = "domain-safety";
       describe =
         "ban unguarded top-level mutable state in modules reachable from \
-         lib/sim/parallel";
+         lib/sim";
       applies = (fun src -> in_scope src.src_path);
       check;
     }

@@ -9,7 +9,6 @@ module Graph = Lipsin_topology.Graph
    kill bit of a down link's row. *)
 let group_bits = 63
 let groups_for ~m = (m + group_bits) / group_bits
-let stride_for ~m = 8 * ((m / 64) + 1)
 
 (* SWAR popcount of a 32-bit value. *)
 let popcount32 x =
@@ -18,7 +17,7 @@ let popcount32 x =
   ((((x + (x lsr 4)) land 0x0F0F0F0F) * 0x01010101) lsr 24) land 0xFF
 
 (* Bytes in a buffer [group] may read: eight past the first byte of
-   the last group.  Always at least [stride_for ~m]. *)
+   the last group. *)
 let bytes_for ~m = 8 * (groups_for ~m + 1)
 
 (* Group [g] of the vector whose bytes (bit j of byte i is vector bit

@@ -1,5 +1,5 @@
-(** The native-int LIT row layout shared by the compiled engines, and
-    the zFilter loaded once per publication in the same layout.
+(** The native-int LIT row layout of the compiled engine, and the
+    zFilter loaded once per publication in the same layout.
 
     Every m-bit vector — a LIT row or a zFilter — is stored as
     [groups_for ~m] native ints of 63 bits each: bit [i] lives in group
@@ -9,20 +9,15 @@
     the hot loop needs no up/down branch.  Algorithm 1 on a row is then
     [row.(g) land filter.(g) = row.(g)] for every group [g].
 
-    {!Fastpath} and {!Bitsliced} both compile a node into one {!t} and
-    both decide from a {!filter}: {!load} does the byte copy, the
-    packing and the popcount once, and every hop of the delivery reuses
-    them. *)
+    {!Fastpath} compiles a node into one {!t} and decides from a
+    {!filter}: {!load} does the byte copy, the packing and the popcount
+    once, and every hop of the delivery reuses them. *)
 
 val group_bits : int
 (** Bits per group: 63. *)
 
 val groups_for : m:int -> int
 (** Ints per row, [ceil((m+1)/63)]: 2, 4 and 9 for m = 120, 248, 504. *)
-
-val stride_for : m:int -> int
-(** Bytes of the zero-padded filter copy, [8 * (m/64 + 1)]: the column
-    count / 8 of the bit-sliced engine's planes. *)
 
 (** {1 Loaded zFilters} *)
 
@@ -32,8 +27,7 @@ type filter = {
       (** Width of the last zFilter given to {!load}; its bits are
           present only when it equals [f_m]. *)
   bytes : Bytes.t;
-      (** The filter bytes, zero-padded to [8 * (groups_for ~m + 1)]
-          (at least [stride_for ~m]). *)
+      (** The filter bytes, zero-padded to [8 * (groups_for ~m + 1)]. *)
   groups : int array;  (** The same bits, [groups_for ~m] ints. *)
   mutable pop : int;  (** Set bits: the fill gate's operand. *)
 }
@@ -86,12 +80,6 @@ val compile : Node_engine.state -> t
 
 val get_bit : int array -> off:int -> int -> bool
 (** [get_bit rows ~off i] is bit [i] of the row starting at [off]. *)
-
-val mix : int -> int -> int
-(** One step of the multiply-xorshift integrity hash. *)
-
-val mix_ints : int -> int array -> int
-(** {!mix} over an array's length and then each of its ints. *)
 
 val digest : t -> int
 (** Integrity hash over the geometry, every row and the stitch payloads.

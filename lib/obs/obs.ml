@@ -447,12 +447,10 @@ module Trace = struct
      never formats a string. *)
   let engine_reference = 0
   let engine_fast = 1
-  let engine_bitsliced = 2
 
   let engine_name = function
     | 0 -> "reference"
     | 1 -> "fast"
-    | 2 -> "bitsliced"
     | _ -> "unknown"
 
   (* ---- sampling ------------------------------------------------------ *)

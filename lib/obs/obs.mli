@@ -164,7 +164,6 @@ module Trace : sig
 
   val engine_reference : int
   val engine_fast : int
-  val engine_bitsliced : int
   val engine_name : int -> string
 
   (** {2 Sampling}

@@ -276,9 +276,7 @@ let check_bench ~file json =
   let findings = check_tables file json findings in
   let base = Filename.basename file in
   let findings =
-    if String.equal base "BENCH_PR5.json" then
-      require_fields file json [ "sweep" ] findings
-    else if String.equal base "BENCH_PR6.json" then
+    if String.equal base "BENCH_PR6.json" then
       require_fields file json [ "subscriber_sweep" ] findings
     else if String.equal base "BENCH_PR7.json" then
       require_fields file json [ "entries"; "gate" ] findings
@@ -385,22 +383,7 @@ let known_conclusion ~file json =
   let fnum path =
     Option.bind path Json.to_float
   in
-  if String.equal base "BENCH_PR5.json" then
-    match Json.member "sweep" json with
-    | Some (Json.Arr rows) when rows <> [] ->
-      let last = List.nth rows (List.length rows - 1) in
-      (match
-         (fnum (Json.member "ports" last), fnum (Json.member "speedup" last))
-       with
-      | Some p, Some s ->
-        Some
-          (Printf.sprintf
-             "Bit-sliced engine peaks at %.2fx over the scalar fast path at \
-              %.0f ports."
-             s p)
-      | _ -> None)
-    | _ -> None
-  else if String.equal base "BENCH_PR6.json" then
+  if String.equal base "BENCH_PR6.json" then
     match Json.member "subscriber_sweep" json with
     | Some (Json.Arr rows) when rows <> [] ->
       let last = List.nth rows (List.length rows - 1) in

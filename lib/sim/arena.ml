@@ -1,6 +1,5 @@
 module Graph = Lipsin_topology.Graph
 module Fastpath = Lipsin_forwarding.Fastpath
-module Bitsliced = Lipsin_forwarding.Bitsliced
 module Rows = Lipsin_forwarding.Rows
 module Assignment = Lipsin_core.Assignment
 module Lit = Lipsin_bloom.Lit
@@ -23,11 +22,8 @@ type t = {
   n_links : int;
   (* pinned compiled engines; [warm] populates, [prepare] revalidates *)
   fps : Fastpath.t option array;
-  bits : Bitsliced.t option array;
-  use_bits : bool array;
   filter : Rows.filter;  (* the current publication's loaded zFilter *)
-  mutable warm_code : int;  (* 0 cold, 1 `Fast, 2 `Bitsliced, 3 `Auto *)
-  mutable warm_generation : int;
+  mutable warm_generation : int;  (* -1 until the first [warm] *)
   (* recycled delivery set: reached bitmap + touched stack + the depth
      at which each node was first reached (latency histogram feed) *)
   reached : bool array;
@@ -72,10 +68,7 @@ let create net =
     n_nodes;
     n_links;
     fps = Array.make n_nodes None;
-    bits = Array.make n_nodes None;
-    use_bits = Array.make n_nodes false;
     filter = Rows.filter ~m:(Assignment.params (Net.assignment net)).Lit.m;
-    warm_code = 0;
     warm_generation = -1;
     reached = Array.make n_nodes false;
     touched_nodes = Array.make n_nodes 0;
@@ -107,39 +100,18 @@ let create net =
 
 let net a = a.net
 
-let code_of_engine = function `Fast -> 1 | `Bitsliced -> 2 | `Auto -> 3
-
 (* Pin every node's compiled engine up front: one batch of compiles per
-   (engine, Net generation) instead of a lazy cache miss inside the hot
-   loop — the compile-amortisation BENCH_PR6 asked for, and the reason
-   [deliver] can stay allocation-free. *)
-let warm a engine =
-  let g = a.graph in
+   Net generation instead of a lazy cache miss inside the hot loop —
+   the reason [deliver] can stay allocation-free.  [`Fast] is the only
+   engine; the argument stays so existing callers keep their shape. *)
+let warm a `Fast =
   for v = 0 to a.n_nodes - 1 do
-    let ub =
-      match engine with
-      | `Bitsliced -> true
-      | `Fast -> false
-      | `Auto -> Graph.out_degree g v >= Bitsliced.auto_threshold
-    in
-    a.use_bits.(v) <- ub;
-    if ub then begin
-      a.bits.(v) <- Some (Net.bitsliced a.net v);
-      a.fps.(v) <- None
-    end
-    else begin
-      a.fps.(v) <- Some (Net.fastpath a.net v);
-      a.bits.(v) <- None
-    end
+    a.fps.(v) <- Some (Net.fastpath a.net v)
   done;
-  a.warm_code <- code_of_engine engine;
   a.warm_generation <- Net.generation a.net
 
-let prepare a engine =
-  if
-    a.warm_code <> code_of_engine engine
-    || a.warm_generation <> Net.generation a.net
-  then warm a engine
+let prepare a `Fast =
+  if a.warm_generation <> Net.generation a.net then warm a `Fast
 
 (* Swapping the intended tree clears the previous tree's bits; the
    common soak case (same physical tree object) is free.
@@ -238,46 +210,23 @@ let[@lipsin.noalloc] run_queue a ~table =
     let node = Array.get a.q_node h in
     let in_link_index = Array.get a.q_in h in
     let depth = Array.get a.q_depth h in
-    if Array.get a.use_bits node then begin
-      match Array.get a.bits node with
-      | None -> ()  (* unreachable after [warm]; dropping is the safe miss *)
-      | Some bs ->
-        let d = Bitsliced.decide_loaded bs ~table ~filter ~in_link_index in
-        a.membership_tests <- a.membership_tests + d.Bitsliced.tests;
-        if d.Bitsliced.deliver_local then
-          a.local_deliveries <- a.local_deliveries + 1;
-        if d.Bitsliced.drop = Bitsliced.drop_fill then
-          a.fill_drops <- a.fill_drops + 1
-        else if d.Bitsliced.drop = Bitsliced.drop_loop then
-          a.loop_drops <- a.loop_drops + 1;
-        a.stitch_matches <- a.stitch_matches + d.Bitsliced.n_stitch;
-        let fwd = d.Bitsliced.forward in
-        for i = 0 to d.Bitsliced.n_forward - 1 do
-          let p = Array.get fwd i in
-          propagate a (Bitsliced.out_index bs p) (Bitsliced.out_dst bs p)
-            depth
-        done
-    end
-    else begin
-      match Array.get a.fps node with
-      | None -> ()
-      | Some fp ->
-        let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
-        a.membership_tests <- a.membership_tests + d.Fastpath.tests;
-        if d.Fastpath.deliver_local then
-          a.local_deliveries <- a.local_deliveries + 1;
-        if d.Fastpath.drop = Fastpath.drop_fill then
-          a.fill_drops <- a.fill_drops + 1
-        else if d.Fastpath.drop = Fastpath.drop_loop then
-          a.loop_drops <- a.loop_drops + 1;
-        a.stitch_matches <- a.stitch_matches + d.Fastpath.n_stitch;
-        let fwd = d.Fastpath.forward in
-        for i = 0 to d.Fastpath.n_forward - 1 do
-          let p = Array.get fwd i in
-          propagate a (Fastpath.out_index fp p) (Fastpath.out_dst fp p)
-            depth
-        done
-    end
+    match Array.get a.fps node with
+    | None -> ()  (* unreachable after [warm]; dropping is the safe miss *)
+    | Some fp ->
+      let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
+      a.membership_tests <- a.membership_tests + d.Fastpath.tests;
+      if d.Fastpath.deliver_local then
+        a.local_deliveries <- a.local_deliveries + 1;
+      if d.Fastpath.drop = Fastpath.drop_fill then
+        a.fill_drops <- a.fill_drops + 1
+      else if d.Fastpath.drop = Fastpath.drop_loop then
+        a.loop_drops <- a.loop_drops + 1;
+      a.stitch_matches <- a.stitch_matches + d.Fastpath.n_stitch;
+      let fwd = d.Fastpath.forward in
+      for i = 0 to d.Fastpath.n_forward - 1 do
+        let p = Array.get fwd i in
+        propagate a (Fastpath.out_index fp p) (Fastpath.out_dst fp p) depth
+      done
   done
 
 let[@lipsin.noalloc] deliver a ~src ~table ~zfilter =

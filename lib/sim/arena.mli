@@ -14,9 +14,8 @@
     hop decides from that one copy.  {!deliver} is a certified
     [[@lipsin.noalloc]] root.
 
-    The supported fast path is expand-once delivery on the [`Fast],
-    [`Bitsliced] and [`Auto] engines with loop prevention off; anything
-    else (reference engine, TTL mode, loss, sampled tracing) goes
+    The supported fast path is expand-once delivery on the [`Fast]
+    engine with loop prevention off; anything else (reference engine, TTL mode, loss, sampled tracing) goes
     through {!Run.deliver} — {!Run.deliver_into} arbitrates and absorbs
     the outcome back into the arena so callers read one shape.
 
@@ -30,13 +29,10 @@ type t = {
   n_nodes : int;
   n_links : int;
   fps : Lipsin_forwarding.Fastpath.t option array;
-  bits : Lipsin_forwarding.Bitsliced.t option array;
-  use_bits : bool array;
   filter : Lipsin_forwarding.Rows.filter;
       (** The current publication's zFilter, loaded once by {!deliver}
           and shared by every hop; allocated by {!create}. *)
-  mutable warm_code : int;
-  mutable warm_generation : int;
+  mutable warm_generation : int;  (** -1 until the first {!warm}. *)
   reached : bool array;  (** Delivery-set bitmap; valid entries only for
                              nodes on the touched stack. *)
   touched_nodes : int array;  (** First [n_reached] entries: the nodes
@@ -84,14 +80,15 @@ val create : Net.t -> t
 
 val net : t -> Net.t
 
-val warm : t -> [ `Fast | `Bitsliced | `Auto ] -> unit
-(** Compiles and pins every node's engine for [engine] in one batch
-    ([`Auto] picks per node at {!Lipsin_forwarding.Bitsliced.auto_threshold}),
-    then records {!Net.generation} so {!prepare} can detect staleness. *)
+val warm : t -> [ `Fast ] -> unit
+(** Compiles and pins every node's {!Lipsin_forwarding.Fastpath} engine
+    in one batch, then records {!Net.generation} so {!prepare} can
+    detect staleness.  [`Fast] is the only choice; the argument keeps
+    the call shape existing callers use. *)
 
-val prepare : t -> [ `Fast | `Bitsliced | `Auto ] -> unit
-(** Re-runs {!warm} iff the engine choice changed or the net was
-    invalidated since the last warm; otherwise free. *)
+val prepare : t -> [ `Fast ] -> unit
+(** Re-runs {!warm} iff the net was invalidated since the last warm;
+    otherwise free. *)
 
 val reset : t -> unit
 (** Clears the delivery set, seen-link marks and tallies in O(touched).

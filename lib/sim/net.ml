@@ -2,7 +2,6 @@ module Graph = Lipsin_topology.Graph
 module Assignment = Lipsin_core.Assignment
 module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
-module Bitsliced = Lipsin_forwarding.Bitsliced
 module Obs = Lipsin_obs.Obs
 
 (* Telemetry: engine/compile churn.  All rare control-plane events. *)
@@ -13,10 +12,6 @@ let m_engine_creates =
 let m_fastpath_compiles =
   Obs.Counter.make ~help:"Fast-path table compilations"
     "lipsin_fastpath_compiles_total"
-
-let m_bitsliced_compiles =
-  Obs.Counter.make ~help:"Bit-sliced table compilations"
-    "lipsin_bitsliced_compiles_total"
 
 let m_invalidations =
   Obs.Counter.make ~help:"Fast-path compilations invalidated by link events"
@@ -32,7 +27,6 @@ type t = {
   loop_prevention : bool;
   engines : Node_engine.t option array;
   fastpaths : Fastpath.t option array;
-  bitsliceds : Bitsliced.t option array;
   mutable generation : int;
       (* bumped whenever a cached compilation is dropped, so holders of
          compiled-engine snapshots (Arena) can detect staleness cheaply *)
@@ -46,7 +40,6 @@ let make ?fill_limit ?(loop_prevention = true) assignment =
     loop_prevention;
     engines = Array.make n None;
     fastpaths = Array.make n None;
-    bitsliceds = Array.make n None;
     generation = 0;
   }
 
@@ -98,30 +91,9 @@ let fastpath t node =
     Obs.Counter.incr m_fastpath_compiles;
     f
 
-let bitsliced t node =
-  match t.bitsliceds.(node) with
-  | Some b -> b
-  | None ->
-    let b = Bitsliced.compile (engine t node) in
-    if audit_enabled () then begin
-      match Lipsin_analysis.Audit.audit_bitsliced b with
-      | [] -> ()
-      | violations ->
-        invalid_arg
-          (Printf.sprintf "Net.bitsliced: audit of node %d's compile failed: %s"
-             node
-             (String.concat "; "
-                (List.map Lipsin_analysis.Audit.to_string violations)))
-    end;
-    t.bitsliceds.(node) <- Some b;
-    Obs.Counter.incr m_bitsliced_compiles;
-    b
-
 let invalidate_fastpath t node =
-  if t.fastpaths.(node) <> None || t.bitsliceds.(node) <> None then
-    Obs.Counter.incr m_invalidations;
+  if t.fastpaths.(node) <> None then Obs.Counter.incr m_invalidations;
   t.fastpaths.(node) <- None;
-  t.bitsliceds.(node) <- None;
   t.generation <- t.generation + 1
 
 let tick t =
@@ -131,10 +103,7 @@ let tick t =
     t.engines;
   Array.iter
     (function Some f -> Fastpath.tick f | None -> ())
-    t.fastpaths;
-  Array.iter
-    (function Some b -> Bitsliced.tick b | None -> ())
-    t.bitsliceds
+    t.fastpaths
 
 let fail_link t link =
   Node_engine.fail_link (engine t link.Graph.src) link;

@@ -51,17 +51,9 @@ val fastpath : t -> Lipsin_topology.Graph.node -> Lipsin_forwarding.Fastpath.t
     violations if the blob layout is unsound — a debug-build guardrail
     against encoding-invariant drift. *)
 
-val bitsliced : t -> Lipsin_topology.Graph.node -> Lipsin_forwarding.Bitsliced.t
-(** The node's compiled bit-sliced (transposed-table) engine, built and
-    cached like {!fastpath} and invalidated by the same events.  Under
-    [LIPSIN_FASTPATH_AUDIT] every fresh compilation is verified with
-    {!Lipsin_analysis.Audit.audit_bitsliced} (row checks plus the
-    column/row mirror, kill-column and plane-consistency checks). *)
-
 val invalidate_fastpath : t -> Lipsin_topology.Graph.node -> unit
-(** Drops the node's cached compilations (both the row-major fast path
-    and the bit-sliced engine) so the next {!fastpath} / {!bitsliced}
-    call recompiles from the engine's current state. *)
+(** Drops the node's cached compilation so the next {!fastpath} call
+    recompiles from the engine's current state. *)
 
 val tick : t -> unit
 (** Advances every instantiated engine's clock (ages loop caches).

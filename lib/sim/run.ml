@@ -2,12 +2,11 @@ module Rng = Lipsin_util.Rng
 module Graph = Lipsin_topology.Graph
 module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
-module Bitsliced = Lipsin_forwarding.Bitsliced
 module Rows = Lipsin_forwarding.Rows
 module Obs = Lipsin_obs.Obs
 
 type mode = Expand_once | Ttl of int
-type engine = [ `Reference | `Fast | `Bitsliced | `Auto ]
+type engine = [ `Reference | `Fast ]
 
 type loss = { probability : float; rng : Rng.t }
 
@@ -132,7 +131,7 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
   let out_acc = ref [] in
   let fp_flag = ref false in
   let ttl_refused = ref 0 in
-  (* The compiled engines decide from one loaded copy of the zFilter
+  (* The compiled engine decides from one loaded copy of the zFilter
      for the whole delivery. *)
   let filter = Rows.of_zfilter zfilter in
   let queue = Queue.create () in
@@ -208,44 +207,6 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
           ~false_positive:!fp_flag ~loop_suspected ~deliver_local
           ~ttl_expired:!ttl_refused
     in
-    let run_fast () =
-      let fp = Net.fastpath net node in
-      let in_link_index =
-        match in_link with None -> -1 | Some l -> l.Graph.index
-      in
-      let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
-      membership_tests := !membership_tests + d.Fastpath.tests;
-      if d.Fastpath.deliver_local then incr local_deliveries;
-      if d.Fastpath.drop = Fastpath.drop_fill then incr fill_drops
-      else if d.Fastpath.drop = Fastpath.drop_loop then incr loop_drops;
-      note_stitches node (Fastpath.stitch_targets fp d);
-      for i = 0 to d.Fastpath.n_forward - 1 do
-        propagate (Fastpath.out_link fp d.Fastpath.forward.(i))
-      done;
-      trace ~engine_code:Obs.Trace.engine_fast
-        ~drop:(Fastpath.drop_reason d)
-        ~loop_suspected:d.Fastpath.loop_suspected
-        ~deliver_local:d.Fastpath.deliver_local
-    in
-    let run_bitsliced () =
-      let bs = Net.bitsliced net node in
-      let in_link_index =
-        match in_link with None -> -1 | Some l -> l.Graph.index
-      in
-      let d = Bitsliced.decide_loaded bs ~table ~filter ~in_link_index in
-      membership_tests := !membership_tests + d.Bitsliced.tests;
-      if d.Bitsliced.deliver_local then incr local_deliveries;
-      if d.Bitsliced.drop = Bitsliced.drop_fill then incr fill_drops
-      else if d.Bitsliced.drop = Bitsliced.drop_loop then incr loop_drops;
-      note_stitches node (Bitsliced.stitch_targets bs d);
-      for i = 0 to d.Bitsliced.n_forward - 1 do
-        propagate (Bitsliced.out_link bs d.Bitsliced.forward.(i))
-      done;
-      trace ~engine_code:Obs.Trace.engine_bitsliced
-        ~drop:(Bitsliced.drop_reason d)
-        ~loop_suspected:d.Bitsliced.loop_suspected
-        ~deliver_local:d.Bitsliced.deliver_local
-    in
     match engine with
     | `Reference ->
       let verdict =
@@ -264,12 +225,24 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
         ~drop:verdict.Node_engine.drop
         ~loop_suspected:verdict.Node_engine.loop_suspected
         ~deliver_local:verdict.Node_engine.deliver_local
-    | `Fast -> run_fast ()
-    | `Bitsliced -> run_bitsliced ()
-    | `Auto ->
-      if Graph.out_degree graph node >= Bitsliced.auto_threshold then
-        run_bitsliced ()
-      else run_fast ()
+    | `Fast ->
+      let fp = Net.fastpath net node in
+      let in_link_index =
+        match in_link with None -> -1 | Some l -> l.Graph.index
+      in
+      let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
+      membership_tests := !membership_tests + d.Fastpath.tests;
+      if d.Fastpath.deliver_local then incr local_deliveries;
+      if d.Fastpath.drop = Fastpath.drop_fill then incr fill_drops
+      else if d.Fastpath.drop = Fastpath.drop_loop then incr loop_drops;
+      note_stitches node (Fastpath.stitch_targets fp d);
+      for i = 0 to d.Fastpath.n_forward - 1 do
+        propagate (Fastpath.out_link fp d.Fastpath.forward.(i))
+      done;
+      trace ~engine_code:Obs.Trace.engine_fast
+        ~drop:(Fastpath.drop_reason d)
+        ~loop_suspected:d.Fastpath.loop_suspected
+        ~deliver_local:d.Fastpath.deliver_local
   done;
   if obs then begin
     let under =
@@ -385,10 +358,10 @@ let arena_obs (a : Arena.t) ~table ~flight ~t0 =
       ()
   end
 
-let arena_path scratch eng ~src ~table ~zfilter =
+let arena_path scratch ~src ~table ~zfilter =
   let net = Arena.net scratch in
   Net.tick net;
-  Arena.prepare scratch eng;
+  Arena.prepare scratch `Fast;
   let obs = Obs.enabled () in
   let flight = obs && Obs.Flight.want_note () in
   let t0 = if flight then Unix.gettimeofday () else 0.0 in
@@ -411,11 +384,8 @@ let deliver_into ?(mode = Expand_once) ?loss ?(engine = `Fast) ?trace scratch
   if sampled then fallback ()
   else
     match (engine, mode, loss) with
-    | `Fast, Expand_once, None -> arena_path scratch `Fast ~src ~table ~zfilter
-    | `Bitsliced, Expand_once, None ->
-      arena_path scratch `Bitsliced ~src ~table ~zfilter
-    | `Auto, Expand_once, None -> arena_path scratch `Auto ~src ~table ~zfilter
-    | (`Reference | `Fast | `Bitsliced | `Auto), _, _ -> fallback ()
+    | `Fast, Expand_once, None -> arena_path scratch ~src ~table ~zfilter
+    | (`Reference | `Fast), _, _ -> fallback ()
 
 let verify_trace net outcome =
   if outcome.packet_id < 0 then None

@@ -17,16 +17,12 @@
 
 type mode = Expand_once | Ttl of int
 
-type engine = [ `Reference | `Fast | `Bitsliced | `Auto ]
+type engine = [ `Reference | `Fast ]
 (** Which decision engine each visited node runs: the reference
-    {!Lipsin_forwarding.Node_engine} (default), the compiled row-major
-    {!Lipsin_forwarding.Fastpath} (cached per node by {!Net.fastpath}),
-    or the transposed {!Lipsin_forwarding.Bitsliced} (cached by
-    {!Net.bitsliced}).  [`Auto] picks per node: bit-sliced from
-    {!Lipsin_forwarding.Bitsliced.auto_threshold} out-links up, the
-    scalar fast path below.  All engines agree decision-for-decision —
-    the differential test suite enforces it — so experiments can switch
-    freely. *)
+    {!Lipsin_forwarding.Node_engine} (default) or the compiled
+    {!Lipsin_forwarding.Fastpath} (cached per node by {!Net.fastpath}).
+    The two agree decision-for-decision — the differential test suite
+    enforces it — so experiments can switch freely. *)
 
 type loss = {
   probability : float;  (** Per-traversal drop probability, \[0, 1). *)
@@ -96,11 +92,10 @@ val deliver_into :
     forwarding service.  Writes the delivery set and all outcome tallies
     into [scratch] instead of allocating an {!outcome}.
 
-    Expand-once publications on the compiled engines ([`Fast],
-    [`Bitsliced], [`Auto]) with no loss and no sampled trace context run
-    the arena's certified zero-allocation loop ({!Arena.deliver}) —
-    ~0 minor words per op versus ~6.8k for {!deliver} (BENCH_PR4 vs
-    BENCH_PR10).  Anything else (reference engine, TTL mode, loss,
+    Expand-once publications on the compiled [`Fast] engine with no
+    loss and no sampled trace context run the arena's certified
+    zero-allocation loop ({!Arena.deliver}) — ~0 minor words per op
+    versus ~6.8k for {!deliver} (BENCH_PR4 vs BENCH_PR10).  Anything else (reference engine, TTL mode, loss,
     [trace] with [tc_sampled]) transparently falls back to {!deliver}
     and absorbs the outcome into [scratch], so callers read one shape
     either way.  Counter totals and the delivery set are bit-for-bit

@@ -157,11 +157,11 @@ let accum_arena w =
   w.w_local <- w.w_local + a.Arena.local_deliveries;
   w.w_reached <- w.w_reached + a.Arena.n_reached
 
-(* One claimed job.  The counter path mirrors what Parallel's per-job
-   Run.deliver did: one 1-in-N trace-sampling draw per publication;
-   sampled publications run the full allocating path (per-hop trace
-   events), everything else runs the arena's zero-alloc loop, with a
-   1-in-64 wall-time sample feeding the service latency histogram. *)
+(* One claimed job.  The counter path takes one 1-in-N trace-sampling
+   draw per publication: sampled publications run the full allocating
+   path (per-hop trace events), everything else runs the arena's
+   zero-alloc loop, with a 1-in-64 wall-time sample feeding the service
+   latency histogram. *)
 let exec_one t w i =
   match t.exec with
   | Exec_none -> ()
@@ -175,11 +175,11 @@ let exec_one t w i =
           ~table:j.job_table ~zfilter:j.job_zfilter ~tree:j.job_tree
       in
       accum_outcome w o
-    | (`Fast | `Bitsliced | `Auto) as e ->
+    | `Fast ->
       let ctx = Obs.Trace.start () in
       if ctx.Obs.Trace.tc_sampled then begin
         let o =
-          Run.deliver ~engine:(e :> Run.engine) ~trace:ctx w.w_net
+          Run.deliver ~engine:`Fast ~trace:ctx w.w_net
             ~src:j.job_src ~table:j.job_table ~zfilter:j.job_zfilter
             ~tree:j.job_tree
         in
@@ -190,7 +190,7 @@ let exec_one t w i =
         w.w_tick <- tick + 1;
         let timed = tick land 63 = 0 && Obs.enabled () in
         let t0 = if timed then Unix.gettimeofday () else 0.0 in
-        Run.deliver_into ~engine:(e :> Run.engine) w.w_arena ~src:j.job_src
+        Run.deliver_into ~engine:`Fast w.w_arena ~src:j.job_src
           ~table:j.job_table ~zfilter:j.job_zfilter ~tree:j.job_tree;
         if timed then
           Obs.Histogram.observe h_job (Unix.gettimeofday () -. t0);
@@ -268,7 +268,7 @@ let worker_main t id =
   let arena = Arena.create net in
   (match t.engine with
   | `Reference -> ()
-  | (`Fast | `Bitsliced | `Auto) as e -> Arena.warm arena e);
+  | `Fast -> Arena.warm arena `Fast);
   let w =
     {
       w_id = id;

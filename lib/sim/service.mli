@@ -1,9 +1,8 @@
 (** The persistent forwarding service: a long-lived per-core domain
     pool with work-stealing shard queues and arena-recycled delivery.
 
-    {!Parallel.deliver_all} spawns fresh domains — and builds fresh
-    {!Net}s, engine compilations and delivery scratch — on {e every}
-    batch.  A service pays all of that once: {!create} spawns the pool,
+    A service pays for domains, {!Net}s, engine compilations and
+    delivery scratch once, not per batch: {!create} spawns the pool,
     each worker builds a private {!Net} plus an {!Arena} with every
     node's engine compiled in one batch, and then batches are only
     dispatched, never set up.  Per batch the jobs are split into one
@@ -12,8 +11,8 @@
     fan-outs spread across the pool.  Steady-state publications run
     {!Run.deliver_into}'s certified zero-alloc arena loop; trace-sampled
     publications (1-in-N, process-wide) transparently take the full
-    {!Run.deliver} path so observability is identical to the spawning
-    model.
+    {!Run.deliver} path so observability is identical to sequential
+    delivery.
 
     Totals are deterministic for any worker count and steal order
     (loop prevention off): every job is claimed exactly once and

@@ -73,8 +73,8 @@ let poly_compare_fixtures () =
 let sim_dune =
   [
     ("lib/sim/dune", "(library (name lipsin_sim) (libraries lipsin_foo))");
-    ("lib/sim/parallel.ml", "let shards = 4");
-    ("lib/sim/parallel.mli", "val shards : int");
+    ("lib/sim/service.ml", "let shards = 4");
+    ("lib/sim/service.mli", "val shards : int");
     ("lib/foo/dune", "(library (name lipsin_foo))");
     ("lib/bar/dune", "(library (name lipsin_bar) (libraries lipsin_foo))");
   ]

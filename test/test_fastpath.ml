@@ -1,9 +1,9 @@
 (* Differential tests: the compiled Fastpath engine must agree with the
    reference Node_engine decision-for-decision — forward set, local
    delivery, service matches, loop suspicion, drop reason and
-   membership-test count — on random topologies, filters (including
-   over-full and all-ones), bad table indexes and failed-link patterns.
-   Plus determinism checks for the Domain-parallel batch front-end. *)
+   membership-test count — on random topologies and on star hubs of 64
+   and 256 ports, filters (including over-full and all-ones), bad table
+   indexes and failed-link patterns. *)
 
 module Bitvec = Lipsin_bitvec.Bitvec
 module Lit = Lipsin_bloom.Lit
@@ -18,8 +18,8 @@ module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
 module Net = Lipsin_sim.Net
 module Run = Lipsin_sim.Run
-module Parallel = Lipsin_sim.Parallel
 module Rng = Lipsin_util.Rng
+module Audit = Lipsin_analysis.Audit
 
 let link_indexes v = List.map (fun l -> l.Graph.index) v
 
@@ -47,7 +47,9 @@ let pp_verdict (v : Node_engine.verdict) =
 (* One random scenario: a topology, an engine with random failures,
    virtuals, blocks and services, its compilation, and a pool of
    zFilters biased towards the node's tables (so matches, loops and
-   blocks actually fire). *)
+   blocks actually fire).  With [~hub:ports] the topology is a star and
+   the engine sits on its hub, a node far wider than the random
+   graphs' degree cap of 8. *)
 type scenario = {
   sc_graph : Graph.t;
   sc_node : Graph.node;
@@ -57,18 +59,31 @@ type scenario = {
   sc_pool : (Zfilter.t * int) array;  (* filter, suggested table *)
 }
 
-let build_scenario seed ~nodes ~steps:_ =
+let star ports =
+  let g = Graph.create ~nodes:(ports + 1) in
+  for leaf = 1 to ports do
+    Graph.add_edge g 0 leaf
+  done;
+  g
+
+let build_scenario ?hub seed ~nodes ~steps:_ =
   let rng = Rng.of_int seed in
-  let extra = Rng.int rng (max 1 (nodes / 2)) in
   let graph =
-    Generator.pref_attach ~rng ~nodes ~edges:(nodes - 1 + extra) ~max_degree:8 ()
+    match hub with
+    | Some ports -> star ports
+    | None ->
+      let extra = Rng.int rng (max 1 (nodes / 2)) in
+      Generator.pref_attach ~rng ~nodes ~edges:(nodes - 1 + extra)
+        ~max_degree:8 ()
   in
   let m = [| 61; 64; 120; 248 |].(Rng.int rng 4) in
   let d = 1 + Rng.int rng 4 in
   let k = 3 + Rng.int rng 3 in
   let params = Lit.constant_k ~m ~d ~k in
   let asg = Assignment.make params (Rng.split rng) graph in
-  let node = Rng.int rng (Graph.node_count graph) in
+  let node =
+    match hub with Some _ -> 0 | None -> Rng.int rng (Graph.node_count graph)
+  in
   let fill_limit = [| 0.5; 0.7; 1.0 |].(Rng.int rng 3) in
   let loop_cache_capacity = [| 1; 2; 4; 64 |].(Rng.int rng 4) in
   let loop_cache_ttl = Rng.int rng 3 in
@@ -125,7 +140,9 @@ let build_scenario seed ~nodes ~steps:_ =
         let z = Zfilter.create ~m in
         if Rng.int rng 10 = 0 then Bitvec.set_all (Zfilter.to_bitvec z)
         else begin
-          for _ = 1 to 1 + Rng.int rng 5 do
+          (* Hubs name more links so forward sets span many ports. *)
+          let max_links = match hub with Some _ -> 24 | None -> 5 in
+          for _ = 1 to 1 + Rng.int rng max_links do
             let l = Graph.link graph (Rng.int rng (Graph.link_count graph)) in
             Zfilter.add z (Assignment.tag asg l ~table)
           done;
@@ -152,8 +169,8 @@ let build_scenario seed ~nodes ~steps:_ =
 
 (* Drive both engines through the same decision sequence and compare
    verdicts step by step. *)
-let run_differential seed ~nodes ~steps =
-  let sc = build_scenario seed ~nodes ~steps in
+let run_differential ?hub seed ~nodes ~steps =
+  let sc = build_scenario ?hub seed ~nodes ~steps in
   let rng = Rng.of_int (seed lxor 0x5CA1AB1E) in
   let out = Array.of_list (Graph.out_links sc.sc_graph sc.sc_node) in
   let failure = ref None in
@@ -210,6 +227,19 @@ let prop_differential =
       match run_differential seed ~nodes ~steps with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
+
+(* The same differential on wide nodes: 20 seeded scenarios per hub. *)
+let test_star_hubs () =
+  List.iter
+    (fun ports ->
+      for seed = 1 to 20 do
+        match
+          run_differential ~hub:ports seed ~nodes:(ports + 1) ~steps:40
+        with
+        | None -> ()
+        | Some msg -> Alcotest.failf "%d ports, seed %d: %s" ports seed msg
+      done)
+    [ 64; 256 ]
 
 let prop_batch_matches_reference =
   QCheck.Test.make ~name:"decide_batch agrees with sequential reference"
@@ -296,48 +326,41 @@ let test_fastpath_sees_net_failures () =
   Alcotest.(check bool) "failed link not traversed" false
     (List.exists (fun l -> l.Graph.index = first.Graph.index) o.Run.traversed)
 
-(* --- Domain-parallel batch --- *)
-
-let parallel_jobs () =
-  let graph = Generator.pref_attach ~rng:(Rng.of_int 91) ~nodes:80 ~edges:130
-      ~max_degree:10 () in
-  let asg = Assignment.make Lit.default (Rng.of_int 92) graph in
-  let rng = Rng.of_int 93 in
-  let jobs =
-    Array.init 40 (fun _ ->
-        let users = 2 + Rng.int rng 8 in
-        let picks = Rng.sample rng users (Graph.node_count graph) in
-        let tree =
-          Spt.delivery_tree graph ~root:picks.(0)
-            ~subscribers:(Array.to_list (Array.sub picks 1 (users - 1)))
-        in
-        let c = Candidate.build_one asg ~tree ~table:0 in
-        {
-          Parallel.job_src = picks.(0);
-          job_table = 0;
-          job_zfilter = c.Candidate.zfilter;
-          job_tree = tree;
-        })
-  in
-  (asg, jobs)
-
-let strip_domains s = { s with Parallel.domains_used = 0 }
-
-let test_parallel_deterministic_across_domains () =
-  let asg, jobs = parallel_jobs () in
-  let one = Parallel.deliver_all ~domains:1 asg jobs in
-  let three = Parallel.deliver_all ~domains:3 asg jobs in
-  Alcotest.(check int) "all jobs ran" 40 one.Parallel.jobs;
-  Alcotest.(check int) "three domains" 3 three.Parallel.domains_used;
-  Alcotest.(check bool) "sharding does not change totals" true
-    (strip_domains one = strip_domains three)
-
-let test_parallel_engines_agree () =
-  let asg, jobs = parallel_jobs () in
-  let fast = Parallel.deliver_all ~domains:2 ~engine:`Fast asg jobs in
-  let reference = Parallel.deliver_all ~domains:2 ~engine:`Reference asg jobs in
-  Alcotest.(check bool) "fast = reference" true
-    (strip_domains fast = strip_domains reference)
+(* An 80-leaf hub with two failed links: the width at which a byte-plane
+   layout used to be chosen.  The compiled rows must pass the audit and
+   agree with the reference on 300 filters selecting up to 24 leaves. *)
+let test_byte_plane_agreement () =
+  let deg = 80 in
+  let g = Graph.create ~nodes:(deg + 1) in
+  for leaf = 1 to deg do
+    Graph.add_edge g 0 leaf
+  done;
+  let asg = Assignment.make Lit.default (Rng.of_int 3) g in
+  let engine = Node_engine.create asg 0 in
+  let out = Array.of_list (Graph.out_links g 0) in
+  Node_engine.fail_link engine out.(3);
+  Node_engine.fail_link engine out.(41);
+  let fast = Fastpath.compile engine in
+  Alcotest.(check (list string)) "audit clean" []
+    (List.map Audit.to_string (Audit.audit fast));
+  let rng = Rng.of_int 5 in
+  for step = 1 to 300 do
+    let z = Zfilter.create ~m:Lit.default.Lit.m in
+    let nsel = 1 + Rng.int rng 24 in
+    for _ = 1 to nsel do
+      Zfilter.add z (Assignment.tag asg out.(Rng.int rng deg) ~table:0)
+    done;
+    let reference =
+      Node_engine.forward engine ~table:0 ~zfilter:z ~in_link:None
+    in
+    let f =
+      Fastpath.verdict fast
+        (Fastpath.decide fast ~table:0 ~zfilter:z ~in_link_index:(-1))
+    in
+    if not (same_verdict reference f) then
+      Alcotest.failf "step %d: ref %s / fast %s" step (pp_verdict reference)
+        (pp_verdict f)
+  done
 
 let () =
   Alcotest.run "fastpath"
@@ -345,6 +368,8 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_differential;
+          Alcotest.test_case "star hubs of 64 and 256 ports" `Quick
+            test_star_hubs;
           QCheck_alcotest.to_alcotest prop_batch_matches_reference;
         ] );
       ( "integration",
@@ -352,11 +377,7 @@ let () =
           Alcotest.test_case "delivery agreement" `Quick test_delivery_agreement;
           Alcotest.test_case "net invalidates on failure" `Quick
             test_fastpath_sees_net_failures;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "deterministic across domains" `Quick
-            test_parallel_deterministic_across_domains;
-          Alcotest.test_case "engines agree" `Quick test_parallel_engines_agree;
+          Alcotest.test_case "byte-plane hub agreement" `Quick
+            test_byte_plane_agreement;
         ] );
     ]

@@ -242,7 +242,7 @@ let test_export_family_discipline () =
           Obs.Counter.add
             (Obs.Counter.make ~labels:[ ("engine", l) ] "test_obs_family_total")
             1)
-        [ "fast"; "reference"; "bitsliced" ];
+        [ "fast"; "reference" ];
       let prom = Obs.Export.prometheus () in
       let type_lines =
         List.filter
@@ -308,8 +308,8 @@ let replay_test =
 
 (* The structured twin of [replay_case]: reconstruct the publication's
    span tree and let [Run.verify_trace] cross-check it against the
-   delivery set, across all three engines and both propagation modes. *)
-let span_case (seed, ttl_mode, engine_pick) =
+   delivery set, across both engines and both propagation modes. *)
+let span_case (seed, ttl_mode, fast) =
   with_memory (fun () ->
       Obs.Trace.clear ();
       Obs.Trace.set_sampling 1;
@@ -333,12 +333,7 @@ let span_case (seed, ttl_mode, engine_pick) =
         else (Candidate.build_one asg ~tree ~table:0).Candidate.zfilter
       in
       let mode = if ttl_mode then Run.Ttl 10 else Run.Expand_once in
-      let engine =
-        match engine_pick mod 3 with
-        | 0 -> `Reference
-        | 1 -> `Fast
-        | _ -> `Bitsliced
-      in
+      let engine = if fast then `Fast else `Reference in
       let dropped0 = Obs.Trace.dropped () in
       let o = Run.deliver ~mode ~engine net ~src ~table:0 ~zfilter ~tree in
       if Obs.Trace.dropped () > dropped0 then true (* ring overflowed: vacuous *)
@@ -361,7 +356,7 @@ let span_case (seed, ttl_mode, engine_pick) =
 let span_test =
   QCheck.Test.make ~count:60
     ~name:"span trees replay to exactly the delivery set (all engines)"
-    QCheck.(triple (int_bound 10_000) bool (int_bound 2))
+    QCheck.(triple (int_bound 10_000) bool bool)
     span_case
 
 (* A span tree's structure is consistent: every event is reachable from

@@ -1,6 +1,7 @@
 (* Partitioned (stitched) zFilters: the cross-engine exactly-once
-   harness.  Differential qcheck over randomly split trees (all three
-   engines must agree bit for bit, Obs counters included), Netcheck
+   harness.  Differential qcheck over randomly split trees (the
+   reference and fast engines must agree bit for bit, Obs counters
+   included), Netcheck
    acceptance of every compiler-produced partition, rejection of
    injected cross-stage loops and duplicate stitch deliveries, filter
    and blob mutation properties, Persist round-trips with error paths,
@@ -17,7 +18,7 @@ module Adaptive = Lipsin_core.Adaptive
 module Stagecut = Lipsin_core.Stagecut
 module Persist = Lipsin_core.Persist
 module Node_engine = Lipsin_forwarding.Node_engine
-module Bitsliced = Lipsin_forwarding.Bitsliced
+module Fastpath = Lipsin_forwarding.Fastpath
 module Rows = Lipsin_forwarding.Rows
 module Stitched = Lipsin_sim.Stitched
 module Netcheck = Lipsin_analysis.Netcheck
@@ -92,7 +93,7 @@ let stitch_counter engine =
 
 let prop_engines_agree =
   QCheck.Test.make
-    ~name:"three engines agree bit for bit on stitched delivery (Obs included)"
+    ~name:"engines agree bit for bit on stitched delivery (Obs included)"
     ~count:6 QCheck.small_nat (fun seed ->
       let _g, hosts, adaptive = fixture (seed + 100) ~hosts:120 in
       let subs = pick_subset (Rng.of_int (seed + 7)) hosts ~keep:60 in
@@ -116,7 +117,6 @@ let prop_engines_agree =
           in
           let oref, dref = run `Reference "reference" in
           let ofast, dfast = run `Fast "fast" in
-          let obits, dbits = run `Bitsliced "bitsliced" in
           let same name (a : Stitched.outcome) (b : Stitched.outcome) =
             if a.Stitched.delivered <> b.Stitched.delivered then
               QCheck.Test.fail_reportf "%s delivered differs from reference" name;
@@ -128,17 +128,11 @@ let prop_engines_agree =
               QCheck.Test.fail_reportf "%s link traversals differ" name
           in
           same "fast" ofast oref;
-          same "bitsliced" obits oref;
           (* The per-engine stitch-match meters must tick identically:
              the same decisions fire the same stitch entries. *)
-          if dref <> dfast || dref <> dbits then
+          if dref <> dfast then
             QCheck.Test.fail_reportf
-              "stitch counters differ: reference %d fast %d bitsliced %d" dref
-              dfast dbits;
-          (* Auto mixes both compiled engines; its counters split across
-             labels, so compare the outcome only. *)
-          let oauto = Stitched.deliver ~engine:`Auto st part in
-          same "auto" oauto oref;
+              "stitch counters differ: reference %d fast %d" dref dfast;
           true))
 
 let prop_filter_mutation_flagged =
@@ -325,20 +319,17 @@ let test_audit_stitch_blob_mutation () =
   let e = Node_engine.create asg 0 in
   let lit = Partition.egress_lit (Assignment.params asg) ~nonce:0x77L in
   Node_engine.install_stitch e lit ~partition:3 ~next:1;
-  let bits = Bitsliced.compile e in
-  Alcotest.(check bool) "clean compile audits clean" true
-    (Audit.audit_bitsliced_ok bits);
-  let rows = (Bitsliced.view bits).Bitsliced.view_rows.Rows.stitch.(0) in
+  let fp = Fastpath.compile e in
+  Alcotest.(check bool) "clean compile audits clean" true (Audit.audit_ok fp);
+  let rows = (Fastpath.view fp).Fastpath.view_rows.Rows.stitch.(0) in
   (* Clear the lowest set bit of the first non-empty group of the stitch
-     LIT: breaks the exact-egress_k popcount law and the row/column
-     mirror. *)
+     LIT: breaks the exact-egress_k popcount law and the digest. *)
   let i = ref 0 in
   while rows.(!i) = 0 do incr i done;
   rows.(!i) <- rows.(!i) land (rows.(!i) - 1);
   Alcotest.(check bool) "structural audit flags it" false
-    (Audit.audit_bitsliced_ok ~check_digest:false bits);
-  Alcotest.(check bool) "digest audit flags it" false
-    (Audit.audit_bitsliced_ok bits)
+    (Audit.audit_ok ~check_digest:false fp);
+  Alcotest.(check bool) "digest audit flags it" false (Audit.audit_ok fp)
 
 (* ------------------------------------------------------------------ *)
 (* Persist round-trip and error paths                                  *)
@@ -430,22 +421,10 @@ let test_single_filter_fill_limit_regression () =
   | f :: _ -> Alcotest.failf "netcheck Error: %s" (Netcheck.to_string f));
   let st = Stitched.make adaptive in
   Stitched.install st part;
-  let o = Stitched.deliver ~engine:`Auto st part in
+  let o = Stitched.deliver ~engine:`Fast st part in
   match Stitched.exactly_once o part with
   | Ok () -> ()
   | Error e -> Alcotest.failf "exactly-once: %s" e
-
-(* Pin the Auto crossover inside the measured bracket.  BENCH_PR5 and
-   BENCH_PR6 engine sweeps: scalar wins at 8 ports (0.79-0.81x
-   speedup), parity at 16 (0.88-1.04x), bit-sliced wins from 32 up
-   (1.22x and rising).  A threshold at or below 8 would route
-   low-degree nodes to the slower engine; above 32 would strand the
-   bit-sliced win. *)
-let test_auto_threshold_pinned () =
-  Alcotest.(check bool) "above the scalar-dominant degree (8)" true
-    (Bitsliced.auto_threshold > 8);
-  Alcotest.(check bool) "at or below the bitsliced-dominant degree (32)" true
-    (Bitsliced.auto_threshold <= 32)
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic trace cross-check and the anomaly flight recorder           *)
@@ -495,8 +474,7 @@ let test_stitched_span_crosscheck () =
                 [ 0; 1; 2 ] stages;
               Alcotest.(check (list string)) (name ^ " no anomalies") []
                 o.Stitched.trace_anomalies)
-            [ (`Reference, "reference"); (`Fast, "fast");
-              (`Bitsliced, "bitsliced") ]))
+            [ (`Reference, "reference"); (`Fast, "fast") ]))
 
 (* The dynamic twin of [test_injected_cross_stage_duplicate]: running
    the corrupted partition (stage 0's filter falsely contains stage 1's
@@ -587,8 +565,6 @@ let () =
         [
           Alcotest.test_case "fill-limit failure fixed by partitioning" `Slow
             test_single_filter_fill_limit_regression;
-          Alcotest.test_case "auto threshold pinned to bench bracket" `Quick
-            test_auto_threshold_pinned;
         ] );
       ( "flight",
         [

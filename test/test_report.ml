@@ -75,8 +75,8 @@ let test_check_bench () =
   | [] -> Alcotest.fail "inconsistent table keys not flagged"
   | _ -> ());
   (match
-     Report.check_bench ~file:"BENCH_PR5.json"
-       (parse_exn {| {"sweep": [{"ports": 1e999}]} |})
+     Report.check_bench ~file:"BENCH_PR6.json"
+       (parse_exn {| {"subscriber_sweep": [{"subscribers": 1e999}]} |})
    with
   | [] -> Alcotest.fail "non-finite number not flagged"
   | _ -> ());

@@ -6,7 +6,7 @@
      i mod 63, nothing lands at or beyond bit m, and the loaded popcount
      is the zFilter's;
    - deliveries: one filter is loaded once and reused by every hop of an
-     expand-once delivery, through both compiled engines, and each hop's
+     expand-once delivery, through the compiled engine, and each hop's
      verdict must equal Node_engine's.  The network carries down links
      (kill bits), block vetoes, virtual links, services and stitch
      entries, and the filters sit exactly at the fill threshold and one
@@ -21,7 +21,6 @@ module Generator = Lipsin_topology.Generator
 module Assignment = Lipsin_core.Assignment
 module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
-module Bitsliced = Lipsin_forwarding.Bitsliced
 module Rows = Lipsin_forwarding.Rows
 module Audit = Lipsin_analysis.Audit
 module Rng = Lipsin_util.Rng
@@ -137,9 +136,9 @@ let make_filter rng net ~m ~table ~pop =
   done;
   z
 
-(* Expand-once delivery from [src]: every hop decides on all three
-   engines, the compiled ones from the one loaded [filter]. *)
-let deliver net fps bss ~(filter : Rows.filter) ~zfilter ~table ~src =
+(* Expand-once delivery from [src]: every hop decides on both engines,
+   the compiled one from the one loaded [filter]. *)
+let deliver net fps ~(filter : Rows.filter) ~zfilter ~table ~src =
   let groups = Array.copy filter.Rows.groups in
   let seen = Array.make (Graph.link_count net.graph) false in
   let q = Queue.create () in
@@ -154,14 +153,8 @@ let deliver net fps bss ~(filter : Rows.filter) ~zfilter ~table ~src =
       Fastpath.verdict fps.(v)
         (Fastpath.decide_loaded fps.(v) ~table ~filter ~in_link_index)
     in
-    let bits =
-      Bitsliced.verdict bss.(v)
-        (Bitsliced.decide_loaded bss.(v) ~table ~filter ~in_link_index)
-    in
     if not (same_verdict reference fast) then
       Alcotest.failf "node %d: Fastpath disagrees with Node_engine" v;
-    if not (same_verdict reference bits) then
-      Alcotest.failf "node %d: Bitsliced disagrees with Node_engine" v;
     List.iter
       (fun l ->
         if not seen.(l.Graph.index) then begin
@@ -179,16 +172,10 @@ let deliveries m () =
     (fun loop_prevention ->
       let net = build ~m ~seed:(m + Bool.to_int loop_prevention) ~loop_prevention in
       let fps = Array.map Fastpath.compile net.engines in
-      let bss = Array.map Bitsliced.compile net.engines in
       Array.iter
         (fun fp ->
           if not (Audit.audit_ok fp) then Alcotest.failf "m=%d: Fastpath audit" m)
         fps;
-      Array.iter
-        (fun bs ->
-          if not (Audit.audit_bitsliced_ok bs) then
-            Alcotest.failf "m=%d: Bitsliced audit" m)
-        bss;
       let rng = Rng.of_int (7 * m) in
       let filter = Rows.filter ~m in
       let multi_hop = ref 0 in
@@ -203,7 +190,7 @@ let deliveries m () =
         let zfilter = make_filter rng net ~m ~table ~pop in
         Rows.load filter zfilter;
         let src = Rng.int rng (Graph.node_count net.graph) in
-        if deliver net fps bss ~filter ~zfilter ~table ~src > 1 then incr multi_hop
+        if deliver net fps ~filter ~zfilter ~table ~src > 1 then incr multi_hop
       done;
       if !multi_hop = 0 then Alcotest.failf "m=%d: no delivery left its source" m)
     [ false; true ]

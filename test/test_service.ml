@@ -105,6 +105,9 @@ let check_totals name (st : Service.stats) outcomes =
 
 let test_totals_match_sequential () =
   let asg, jobs = make_jobs 11 ~nodes:60 ~count:96 in
+  (* Every engine's service totals must also equal the sequential
+     reference engine's: Fast = Reference through the pool. *)
+  let reference = sequential ~engine:`Reference asg jobs in
   List.iter
     (fun engine ->
       let seq = sequential ~engine asg jobs in
@@ -113,11 +116,12 @@ let test_totals_match_sequential () =
           let svc = Service.create ~workers ~engine asg in
           let st = Service.run svc jobs in
           Service.shutdown svc;
+          check_totals (Printf.sprintf "%d workers" workers) st seq;
           check_totals
-            (Printf.sprintf "%d workers" workers)
-            st seq)
+            (Printf.sprintf "%d workers vs reference" workers)
+            st reference)
         [ 1; 2; 5 ])
-    [ `Reference; `Fast; `Bitsliced ]
+    [ `Reference; `Fast ]
 
 (* --- delivery sets: run_collect == sequential, bit-for-bit --- *)
 
@@ -146,7 +150,7 @@ let test_delivery_sets_match_sequential () =
               (Printf.sprintf "job %d traversals" i)
               o.Run.link_traversals g.Run.link_traversals)
         seq)
-    [ `Reference; `Fast; `Bitsliced ]
+    [ `Reference; `Fast ]
 
 (* --- shard counts and steal order must not change totals --- *)
 
@@ -203,42 +207,37 @@ let test_deliver_into_matches_deliver () =
   let asg, jobs = make_jobs 53 ~nodes:60 ~count:48 in
   let net = Net.make ~loop_prevention:false asg in
   let arena = Arena.create net in
-  List.iter
-    (fun engine ->
-      Arena.prepare arena engine;
-      Array.iteri
-        (fun i j ->
-          let o =
-            Run.deliver
-              ~engine:(engine :> Run.engine)
-              net ~src:j.Service.job_src ~table:j.Service.job_table
-              ~zfilter:j.Service.job_zfilter ~tree:j.Service.job_tree
-          in
-          Run.deliver_into
-            ~engine:(engine :> Run.engine)
-            arena ~src:j.Service.job_src ~table:j.Service.job_table
-            ~zfilter:j.Service.job_zfilter ~tree:j.Service.job_tree;
-          let name what = Printf.sprintf "job %d: %s" i what in
-          Alcotest.(check (array bool))
-            (name "delivery set")
-            o.Run.reached (Arena.reached_copy arena);
-          Alcotest.(check int)
-            (name "traversals")
-            o.Run.link_traversals arena.Arena.link_traversals;
-          Alcotest.(check int)
-            (name "false positives")
-            o.Run.false_positives arena.Arena.false_positives;
-          Alcotest.(check int)
-            (name "membership tests")
-            o.Run.membership_tests arena.Arena.membership_tests;
-          Alcotest.(check int)
-            (name "fill drops")
-            o.Run.fill_drops arena.Arena.fill_drops;
-          Alcotest.(check int)
-            (name "local deliveries")
-            o.Run.local_deliveries arena.Arena.local_deliveries)
-        jobs)
-    [ `Fast; `Bitsliced; `Auto ]
+  Arena.prepare arena `Fast;
+  Array.iteri
+    (fun i j ->
+      let o =
+        Run.deliver ~engine:`Fast net ~src:j.Service.job_src
+          ~table:j.Service.job_table ~zfilter:j.Service.job_zfilter
+          ~tree:j.Service.job_tree
+      in
+      Run.deliver_into ~engine:`Fast arena ~src:j.Service.job_src
+        ~table:j.Service.job_table ~zfilter:j.Service.job_zfilter
+        ~tree:j.Service.job_tree;
+      let name what = Printf.sprintf "job %d: %s" i what in
+      Alcotest.(check (array bool))
+        (name "delivery set")
+        o.Run.reached (Arena.reached_copy arena);
+      Alcotest.(check int)
+        (name "traversals")
+        o.Run.link_traversals arena.Arena.link_traversals;
+      Alcotest.(check int)
+        (name "false positives")
+        o.Run.false_positives arena.Arena.false_positives;
+      Alcotest.(check int)
+        (name "membership tests")
+        o.Run.membership_tests arena.Arena.membership_tests;
+      Alcotest.(check int)
+        (name "fill drops")
+        o.Run.fill_drops arena.Arena.fill_drops;
+      Alcotest.(check int)
+        (name "local deliveries")
+        o.Run.local_deliveries arena.Arena.local_deliveries)
+    jobs
 
 (* --- partitioned batches == sequential Stitched.deliver --- *)
 
