@@ -115,7 +115,7 @@ let drop_bad_table = 3
 
 type t = {
   node : Graph.node;
-  rows : Rows.t;
+  mutable rows : Rows.t;  (* replaced, never mutated, by [restitch] *)
   data_len : int;  (* live filter bytes = ceil(m/8): the loop-cache key *)
   fill_threshold : int;  (* max popcount passing the fill limit *)
   loop_prevention : bool;
@@ -128,7 +128,9 @@ type t = {
   seen : int array;  (* per-decision dedup stamps *)
   mutable gen : int;
   decision : decision;
-  compile_digest : int;  (* Rows.digest at compile, for Analysis.Audit *)
+  digest_base : int;  (* Rows.digest_base: [restitch] keeps it *)
+  mutable compile_digest : int;
+      (* Rows.digest at compile or the last [restitch], for Analysis.Audit *)
   obs : meters;
 }
 
@@ -137,6 +139,7 @@ let compile engine =
   let rows = Rows.compile st in
   let m = rows.Rows.m in
   let n_ports = rows.Rows.n_ports in
+  let digest_base = Rows.digest_base rows in
   {
     node = st.Node_engine.state_node;
     rows;
@@ -165,7 +168,8 @@ let compile engine =
         drop = no_drop;
         tests = 0;
       };
-    compile_digest = Rows.digest rows;
+    digest_base;
+    compile_digest = Rows.digest_from ~base:digest_base rows;
     obs = make_meters ();
   }
 
@@ -182,6 +186,13 @@ let[@lipsin.noalloc] out_index t p = Array.get t.rows.Rows.out_index p
 let[@lipsin.noalloc] out_dst t p =
   (Array.get t.rows.Rows.out_links p).Graph.dst
 let tick t = t.tick_count <- t.tick_count + 1
+
+let restitch t stitches =
+  let rows = Rows.with_stitches t.rows stitches in
+  let n = Array.length rows.Rows.stitch_next in
+  if n > Array.length t.decision.stitches then t.decision.stitches <- Array.make n 0;
+  t.rows <- rows;
+  t.compile_digest <- Rows.digest_from ~base:t.digest_base rows
 
 (* The same FIFO + tick-TTL cache as Node_engine's, entry for entry, so
    the two engines drop the same packets given the same history. *)
@@ -379,6 +390,9 @@ let forward_links t d =
 
 let service_names t d =
   List.init d.n_services (fun i -> t.rows.Rows.svc_names.(d.services.(i)))
+
+let[@lipsin.noalloc] stitch_partition t s = Array.get t.rows.Rows.stitch_partition s
+let[@lipsin.noalloc] stitch_next t s = Array.get t.rows.Rows.stitch_next s
 
 let stitch_targets t d =
   List.init d.n_stitch (fun i ->

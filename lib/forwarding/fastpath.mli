@@ -22,7 +22,8 @@
     A compiled engine is a {e snapshot}: mutations to the source
     {!Node_engine.t} after {!compile} (failures, virtual installs,
     blocks) are not seen — recompile instead ({!Lipsin_sim.Net} does
-    this automatically).  The loop-prevention cache starts empty at
+    this automatically).  Stitch entries are the exception: {!restitch}
+    patches them into the live engine.  The loop-prevention cache starts empty at
     compile time and then evolves with the same FIFO/TTL semantics as
     the reference engine's, so both engines agree decision-for-decision
     when fed the same packet history from creation. *)
@@ -76,6 +77,15 @@ val out_dst : t -> int -> int
 val tick : t -> unit
 (** Advances the loop-cache clock (mirror of {!Node_engine.tick}). *)
 
+val restitch : t -> (Lipsin_bitvec.Bitvec.t array * int * int) list -> unit
+(** Replaces the engine's stitch entries with [stitches]
+    ({!Node_engine.stitches}) in place: the stitch rows and payloads are
+    rebuilt with {!Rows.with_stitches}, the decision buffer grows if it
+    must, and the recorded digest is refreshed.  Everything else — the
+    other rows, the loop cache, the clock — is kept.  Afterwards the
+    engine decides exactly as a fresh {!compile} of the source engine
+    would. *)
+
 val decide_loaded :
   t -> table:int -> filter:Rows.filter -> in_link_index:int -> decision
 (** One forwarding decision from a loaded zFilter; [in_link_index] is
@@ -111,6 +121,14 @@ val drop_reason : decision -> Node_engine.drop_reason option
 val forward_links : t -> decision -> Lipsin_topology.Graph.link list
 val service_names : t -> decision -> string list
 
+val stitch_partition : t -> int -> int
+(** The partition id of a stitch index from [decision.stitches];
+    allocation-free. *)
+
+val stitch_next : t -> int -> int
+(** The next stage of a stitch index from [decision.stitches];
+    allocation-free. *)
+
 val stitch_targets : t -> decision -> (int * int) list
 (** Matched stitch entries as [(partition id, next stage)] pairs, in
     match order — the partitioned-zFilter handoff payloads. *)
@@ -137,11 +155,13 @@ type view = {
   view_services_cap : int;  (** Decision buffer capacity for services. *)
   view_stitch_cap : int;  (** Decision buffer capacity for stitches. *)
   view_seen_cap : int;  (** Dedup stamp array capacity. *)
-  view_digest : int;  (** {!Rows.digest} recorded at {!compile}. *)
+  view_digest : int;
+      (** {!Rows.digest} recorded at {!compile} or the last {!restitch}. *)
 }
 
 val view : t -> view
 
 val digest : t -> int
 (** Recomputes {!Rows.digest} over the current rows.  Equal to
-    [(view t).view_digest] iff no row changed since {!compile}. *)
+    [(view t).view_digest] iff no row changed since {!compile} or the
+    last {!restitch}. *)

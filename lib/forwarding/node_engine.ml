@@ -409,6 +409,9 @@ type state = {
   state_tick : int;
 }
 
+let stitches t =
+  List.map (fun s -> (s.st_tags, s.st_partition, s.st_next)) t.stitches
+
 let state t =
   {
     state_node = t.node;
@@ -428,8 +431,7 @@ let state t =
         t.ports;
     state_virtuals = List.map (fun v -> (v.v_tags, v.v_out)) t.virtuals;
     state_services = List.map (fun s -> (s.s_tags, s.s_name)) t.services;
-    state_stitches =
-      List.map (fun s -> (s.st_tags, s.st_partition, s.st_next)) t.stitches;
+    state_stitches = stitches t;
     state_loop_prevention = t.loop_prevention;
     state_loop_capacity = t.loop_capacity;
     state_loop_ttl = t.loop_ttl;

@@ -180,6 +180,10 @@ type state = {
 
 val state : t -> state
 
+val stitches : t -> (Lipsin_bitvec.Bitvec.t array * int * int) list
+(** [(state t).state_stitches] without snapshotting the rest of the
+    state: what {!Fastpath.restitch} needs after a stitch install. *)
+
 val forwarding_table_bits : t -> sparse:bool -> int
 (** Memory footprint of the node's forwarding tables per Sec. 4.2:
     dense = d·entries·(m + 8) bits; sparse stores only the k set-bit

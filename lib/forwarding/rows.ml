@@ -105,6 +105,34 @@ type t = {
   stitch_next : int array;
 }
 
+(* Packs the m-bit [vec] into row [slot] of [rows] through [scratch], a
+   [bytes_for ~m] buffer that is zero beyond the vector. *)
+let write ~m ~groups scratch rows slot vec =
+  if Bitvec.length vec <> m then invalid_arg "Rows.compile: LIT width differs from m";
+  Bitvec.blit_into vec scratch ~pos:0;
+  pack scratch rows ~off:(slot * groups) ~groups
+
+(* One [n]-row table per forwarding table, each filled by [f tbl]. *)
+let per_table ~d ~groups n f =
+  Array.init d (fun tbl ->
+      let r = Array.make (n * groups) 0 in
+      f tbl r;
+      r)
+
+let with_stitches r stitches =
+  let stitches = Array.of_list stitches in
+  let scratch = Bytes.make (bytes_for ~m:r.m) '\000' in
+  {
+    r with
+    stitch =
+      per_table ~d:r.d ~groups:r.groups (Array.length stitches) (fun tbl rows ->
+          Array.iteri
+            (fun s (tags, _, _) -> write ~m:r.m ~groups:r.groups scratch rows s tags.(tbl))
+            stitches);
+    stitch_partition = Array.map (fun (_, pid, _) -> pid) stitches;
+    stitch_next = Array.map (fun (_, _, next) -> next) stitches;
+  }
+
 let compile (st : Node_engine.state) =
   let params = st.Node_engine.state_params in
   let m = params.Lit.m in
@@ -114,17 +142,8 @@ let compile (st : Node_engine.state) =
   let ports = st.Node_engine.state_ports in
   let n_ports = Array.length ports in
   let rows n = Array.make (n * groups) 0 in
-  let write rows slot vec =
-    if Bitvec.length vec <> m then invalid_arg "Rows.compile: LIT width differs from m";
-    Bitvec.blit_into vec scratch ~pos:0;
-    pack scratch rows ~off:(slot * groups) ~groups
-  in
-  let per_table n f =
-    Array.init d (fun tbl ->
-        let r = rows n in
-        f tbl r;
-        r)
-  in
+  let write rows slot vec = write ~m ~groups scratch rows slot vec in
+  let per_table n f = per_table ~d ~groups n f in
   let phys =
     per_table n_ports (fun tbl r ->
         Array.iteri
@@ -203,35 +222,32 @@ let compile (st : Node_engine.state) =
     per_table (Array.length services) (fun tbl r ->
         Array.iteri (fun s (tags, _) -> write r s tags.(tbl)) services)
   in
-  let stitches = Array.of_list st.Node_engine.state_stitches in
-  let stitch =
-    per_table (Array.length stitches) (fun tbl r ->
-        Array.iteri (fun s (tags, _, _) -> write r s tags.(tbl)) stitches)
-  in
-  {
-    m;
-    d;
-    k_for_table = Array.copy params.Lit.k_for_table;
-    groups;
-    n_ports;
-    out_links = Array.map (fun ps -> ps.Node_engine.port_link) ports;
-    out_index = Array.map (fun ps -> ps.Node_engine.port_link.Graph.index) ports;
-    up = Array.map (fun ps -> ps.Node_engine.port_up) ports;
-    phys;
-    in_tags;
-    blocks;
-    block_off;
-    n_virt;
-    virt;
-    v_out_off;
-    v_out_ports;
-    local;
-    svc;
-    svc_names = Array.map snd services;
-    stitch;
-    stitch_partition = Array.map (fun (_, pid, _) -> pid) stitches;
-    stitch_next = Array.map (fun (_, _, next) -> next) stitches;
-  }
+  with_stitches
+    {
+      m;
+      d;
+      k_for_table = Array.copy params.Lit.k_for_table;
+      groups;
+      n_ports;
+      out_links = Array.map (fun ps -> ps.Node_engine.port_link) ports;
+      out_index = Array.map (fun ps -> ps.Node_engine.port_link.Graph.index) ports;
+      up = Array.map (fun ps -> ps.Node_engine.port_up) ports;
+      phys;
+      in_tags;
+      blocks;
+      block_off;
+      n_virt;
+      virt;
+      v_out_off;
+      v_out_ports;
+      local;
+      svc;
+      svc_names = Array.map snd services;
+      stitch = [||];
+      stitch_partition = [||];
+      stitch_next = [||];
+    }
+    st.Node_engine.state_stitches
 
 (* Multiply-xorshift over 63-bit lanes.  For a fixed running hash each
    step is a bijection of its input, and for a fixed input a bijection
@@ -257,7 +273,9 @@ let mix_tables h ts =
   done;
   !h
 
-let digest r =
+(* The stitch rows and payloads are hashed last, so a restitch rehashes
+   only them on top of the unchanged base. *)
+let digest_base r =
   let h = ref 0xcbf29ce484222 in
   List.iter (fun i -> h := mix !h i) [ r.m; r.d; r.groups; r.n_ports; r.n_virt ];
   h := mix_ints !h r.k_for_table;
@@ -267,11 +285,13 @@ let digest r =
   h := mix_tables !h r.block_off;
   h := mix_tables !h r.virt;
   h := mix_tables !h r.local;
-  h := mix_tables !h r.svc;
-  h := mix_tables !h r.stitch;
-  h := mix_ints !h r.stitch_partition;
-  h := mix_ints !h r.stitch_next;
-  !h land max_int
+  mix_tables !h r.svc
+
+let digest_from ~base r =
+  let h = mix_tables base r.stitch in
+  mix_ints (mix_ints h r.stitch_partition) r.stitch_next land max_int
+
+let digest r = digest_from ~base:(digest_base r) r
 
 let entries r tbl =
   (2 * r.n_ports) (* phys + in_tags *)

@@ -78,12 +78,26 @@ type t = {
 
 val compile : Node_engine.state -> t
 
+val with_stitches : t -> (Lipsin_bitvec.Bitvec.t array * int * int) list -> t
+(** A shallow copy of the rows with the stitch rows and payloads rebuilt
+    from [stitches] ({!Node_engine.stitches}); every other array is
+    shared.  Equal, field for field, to a fresh {!compile} of the
+    engine after the stitch change. *)
+
 val get_bit : int array -> off:int -> int -> bool
 (** [get_bit rows ~off i] is bit [i] of the row starting at [off]. *)
 
 val digest : t -> int
 (** Integrity hash over the geometry, every row and the stitch payloads.
     Changing any one hashed int changes it. *)
+
+val digest_base : t -> int
+(** The part of {!digest} that {!with_stitches} leaves unchanged:
+    everything but the stitch rows and payloads. *)
+
+val digest_from : base:int -> t -> int
+(** [digest_from ~base:(digest_base r) r = digest r], hashing only the
+    stitch rows and payloads. *)
 
 val table_bytes : t -> int
 (** Footprint of all rows of all d tables, in bytes. *)

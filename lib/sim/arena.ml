@@ -8,22 +8,21 @@ module Lit = Lipsin_bloom.Lit
    from the topology and reused across publications: delivery-set and
    seen-link bitmaps are reset in O(touched) via the touched stacks, the
    BFS frontier is a flat ring (each link is traversed at most once in
-   Expand_once mode, so [link_count + 1] slots bound it), and compiled
-   engines are pinned per node so the hot loop never consults the Net's
-   lazy caches, and the publication's zFilter is loaded once into
-   [filter] and shared by every hop.  The result: [deliver] is a
-   certified [@lipsin.noalloc] root — zero minor words per publication
-   in steady state. *)
+   Expand_once mode, so [link_count + 1] slots bound it), every hop
+   reads the Net's own compiled-engine array (so invalidations and
+   restitches are seen at once), and the publication's zFilter is
+   loaded once into [filter] and shared by every hop.  The result:
+   [deliver] is a certified [@lipsin.noalloc] root — zero minor words
+   per publication in steady state, once every reached node is
+   compiled. *)
 
 type t = {
   net : Net.t;
   graph : Graph.t;
   n_nodes : int;
   n_links : int;
-  (* pinned compiled engines; [warm] populates, [prepare] revalidates *)
-  fps : Fastpath.t option array;
+  fps : Fastpath.t option array;  (* the Net's compiled engines, shared *)
   filter : Rows.filter;  (* the current publication's loaded zFilter *)
-  mutable warm_generation : int;  (* -1 until the first [warm] *)
   (* recycled delivery set: reached bitmap + touched stack + the depth
      at which each node was first reached (latency histogram feed) *)
   reached : bool array;
@@ -53,10 +52,15 @@ type t = {
   mutable local_deliveries : int;
   mutable deliveries : int;
   mutable over_delivery : int;
+  (* stitch hits (node, partition, next stage) in BFS order; the first
+     [stitch_matches] slots are valid, and the buffers double on demand *)
   mutable stitch_matches : int;
-  mutable lost : int;
-  mutable last_packet : int;
+  mutable hit_node : int array;
+  mutable hit_partition : int array;
+  mutable hit_next : int array;
 }
+
+let initial_hits = 8
 
 let create net =
   let graph = Net.graph net in
@@ -67,9 +71,8 @@ let create net =
     graph;
     n_nodes;
     n_links;
-    fps = Array.make n_nodes None;
+    fps = Net.compiled net;
     filter = Rows.filter ~m:(Assignment.params (Net.assignment net)).Lit.m;
-    warm_generation = -1;
     reached = Array.make n_nodes false;
     touched_nodes = Array.make n_nodes 0;
     reach_depth = Array.make n_nodes 0;
@@ -94,24 +97,22 @@ let create net =
     deliveries = 0;
     over_delivery = 0;
     stitch_matches = 0;
-    lost = 0;
-    last_packet = -1;
+    hit_node = Array.make initial_hits 0;
+    hit_partition = Array.make initial_hits 0;
+    hit_next = Array.make initial_hits 0;
   }
 
 let net a = a.net
 
-(* Pin every node's compiled engine up front: one batch of compiles per
-   Net generation instead of a lazy cache miss inside the hot loop —
-   the reason [deliver] can stay allocation-free.  [`Fast] is the only
-   engine; the argument stays so existing callers keep their shape. *)
+(* Compile every node the Net has not compiled yet, in one batch, so no
+   later publication takes a cold miss.  [`Fast] is the only engine; the
+   argument stays because the benchmark harness passes it. *)
 let warm a `Fast =
   for v = 0 to a.n_nodes - 1 do
-    a.fps.(v) <- Some (Net.fastpath a.net v)
-  done;
-  a.warm_generation <- Net.generation a.net
+    ignore (Net.fastpath a.net v)
+  done
 
-let prepare a `Fast =
-  if a.warm_generation <> Net.generation a.net then warm a `Fast
+let prepare = warm
 
 (* Swapping the intended tree clears the previous tree's bits; the
    common soak case (same physical tree object) is free.
@@ -167,9 +168,7 @@ let[@lipsin.noalloc] reset a =
   a.local_deliveries <- 0;
   a.deliveries <- 0;
   a.over_delivery <- 0;
-  a.stitch_matches <- 0;
-  a.lost <- 0;
-  a.last_packet <- -1
+  a.stitch_matches <- 0
 
 (* One admitted copy on the link with dense index [li] towards [dst],
    decided at hop [depth] — the recycled mirror of Run.deliver's
@@ -199,9 +198,35 @@ let[@lipsin.noalloc] propagate a li dst depth =
     a.q_tail <- t + 1
   end
 
-(* Expand-once BFS over the pinned compiled engines.  Stitch payloads
-   are tallied but not collected (staged delivery goes through
-   Stitched.deliver, which needs the full Run.deliver outcome). *)
+(* Doubles the hit buffers, keeping the valid prefix. *)
+let grow_hits a =
+  let grow b =
+    let b' = Array.make (2 * Array.length b) 0 in
+    Array.blit b 0 b' 0 a.stitch_matches;
+    b'
+  in
+  a.hit_node <- grow a.hit_node;
+  a.hit_partition <- grow a.hit_partition;
+  a.hit_next <- grow a.hit_next
+
+(* Appends the decision's stitch payloads at [node], in match order. *)
+let[@lipsin.noalloc] note_hits a fp (d : Fastpath.decision) node =
+  for i = 0 to d.Fastpath.n_stitch - 1 do
+    if a.stitch_matches = Array.length a.hit_node then
+      (grow_hits a
+      [@lipsin.allow_alloc
+        "hit buffers double on demand; only staged delivery matches stitch \
+         entries, and its arenas keep their grown buffers"]);
+    let s = Array.get d.Fastpath.stitches i in
+    let k = a.stitch_matches in
+    Array.set a.hit_node k node;
+    Array.set a.hit_partition k (Fastpath.stitch_partition fp s);
+    Array.set a.hit_next k (Fastpath.stitch_next fp s);
+    a.stitch_matches <- k + 1
+  done
+
+(* Expand-once BFS over the Net's compiled engines, collecting stitch
+   hits in the order Run.deliver reports them. *)
 let[@lipsin.noalloc] run_queue a ~table =
   let filter = a.filter in
   while a.q_head < a.q_tail do
@@ -210,23 +235,30 @@ let[@lipsin.noalloc] run_queue a ~table =
     let node = Array.get a.q_node h in
     let in_link_index = Array.get a.q_in h in
     let depth = Array.get a.q_depth h in
-    match Array.get a.fps node with
-    | None -> ()  (* unreachable after [warm]; dropping is the safe miss *)
-    | Some fp ->
-      let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
-      a.membership_tests <- a.membership_tests + d.Fastpath.tests;
-      if d.Fastpath.deliver_local then
-        a.local_deliveries <- a.local_deliveries + 1;
-      if d.Fastpath.drop = Fastpath.drop_fill then
-        a.fill_drops <- a.fill_drops + 1
-      else if d.Fastpath.drop = Fastpath.drop_loop then
-        a.loop_drops <- a.loop_drops + 1;
-      a.stitch_matches <- a.stitch_matches + d.Fastpath.n_stitch;
-      let fwd = d.Fastpath.forward in
-      for i = 0 to d.Fastpath.n_forward - 1 do
-        let p = Array.get fwd i in
-        propagate a (Fastpath.out_index fp p) (Fastpath.out_dst fp p) depth
-      done
+    let fp =
+      match Array.get a.fps node with
+      | Some fp -> fp
+      | None ->
+        (Net.fastpath a.net node
+        [@lipsin.allow_alloc
+          "cold miss: the first reach of a node since the Net was made or \
+           the node invalidated compiles it once; [warm] takes them all \
+           up front"])
+    in
+    let d = Fastpath.decide_loaded fp ~table ~filter ~in_link_index in
+    a.membership_tests <- a.membership_tests + d.Fastpath.tests;
+    if d.Fastpath.deliver_local then
+      a.local_deliveries <- a.local_deliveries + 1;
+    if d.Fastpath.drop = Fastpath.drop_fill then
+      a.fill_drops <- a.fill_drops + 1
+    else if d.Fastpath.drop = Fastpath.drop_loop then
+      a.loop_drops <- a.loop_drops + 1;
+    if d.Fastpath.n_stitch > 0 then note_hits a fp d node;
+    let fwd = d.Fastpath.forward in
+    for i = 0 to d.Fastpath.n_forward - 1 do
+      let p = Array.get fwd i in
+      propagate a (Fastpath.out_index fp p) (Fastpath.out_dst fp p) depth
+    done
   done
 
 let[@lipsin.noalloc] deliver a ~src ~table ~zfilter =

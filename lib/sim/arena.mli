@@ -6,22 +6,25 @@
     words per op (BENCH_PR4), a steady-state tax no line-rate router
     pays.  An arena preallocates all of that once per (worker, Net) and
     recycles it: bitmaps reset in O(links actually touched) via touched
-    stacks, the BFS frontier is a flat ring bounded by [link_count + 1]
-    (each link traverses at most once in expand-once mode), and every
-    node's compiled engine is pinned up front by {!warm} so the hot loop
-    never falls into the Net's lazy compile caches.  The publication's
+    stacks, and the BFS frontier is a flat ring bounded by
+    [link_count + 1] (each link traverses at most once in expand-once
+    mode).  Nothing is pinned: every hop reads the Net's own
+    compiled-engine array ({!Net.compiled}), so link events and
+    {!Net.restitch} are seen by the next publication, and a node not
+    compiled yet is compiled on its first reach.  The publication's
     zFilter is loaded once ({!Lipsin_forwarding.Rows.load}) and every
     hop decides from that one copy.  {!deliver} is a certified
-    [[@lipsin.noalloc]] root.
+    [[@lipsin.noalloc]] root: it allocates nothing once every node it
+    reaches is compiled ({!warm} does them all up front).
 
-    The supported fast path is expand-once delivery on the [`Fast]
-    engine with loop prevention off; anything else (reference engine, TTL mode, loss, sampled tracing) goes
-    through {!Run.deliver} — {!Run.deliver_into} arbitrates and absorbs
-    the outcome back into the arena so callers read one shape.
+    The arena runs expand-once delivery on the [`Fast] engine, with or
+    without loop prevention.  Stitch hits are collected into growable
+    int buffers, so staged delivery ({!Stitched.deliver}) runs on arenas
+    too.  The reference engine, TTL mode, loss and sampled tracing go
+    through {!Run.deliver} instead.
 
     An arena belongs to one domain (its buffers are private mutable
-    state) and to one {!Net}; {!prepare} revalidates the pinned engines
-    against {!Net.generation} so link failures recompile lazily. *)
+    state) and to one {!Net}. *)
 
 type t = {
   net : Net.t;
@@ -29,10 +32,10 @@ type t = {
   n_nodes : int;
   n_links : int;
   fps : Lipsin_forwarding.Fastpath.t option array;
+      (** The Net's compiled-engine array itself ({!Net.compiled}). *)
   filter : Lipsin_forwarding.Rows.filter;
       (** The current publication's zFilter, loaded once by {!deliver}
           and shared by every hop; allocated by {!create}. *)
-  mutable warm_generation : int;  (** -1 until the first {!warm}. *)
   reached : bool array;  (** Delivery-set bitmap; valid entries only for
                              nodes on the touched stack. *)
   touched_nodes : int array;  (** First [n_reached] entries: the nodes
@@ -62,13 +65,13 @@ type t = {
   mutable deliveries : int;  (** Non-source nodes first reached. *)
   mutable over_delivery : int;  (** Off-tree link traversals. *)
   mutable stitch_matches : int;
-      (** Stitch entries matched (payloads are not collected — staged
-          delivery uses {!Stitched.deliver}). *)
-  mutable lost : int;  (** Always 0 on the fast path; set when
-                           {!Run.deliver_into} absorbs a lossy run. *)
-  mutable last_packet : int;
-      (** Packet id of the last absorbed sampled publication, -1
-          otherwise. *)
+      (** Stitch entries matched; also the number of valid hits below. *)
+  mutable hit_node : int array;
+  mutable hit_partition : int array;
+  mutable hit_next : int array;
+      (** Stitch hits [(node, partition id, next stage)] in the first
+          [stitch_matches] slots, in the order of {!Run.outcome}'s
+          [stitch_hits].  The buffers double when full and are kept. *)
 }
 (** Exposed concretely so {!Run} and the forwarding service read tallies
     with plain field loads inside their own noalloc regions.  Treat
@@ -76,24 +79,18 @@ type t = {
 
 val create : Net.t -> t
 (** Preallocates all scratch for the net's topology.  Cheap relative to
-    {!warm}; no engines are compiled yet. *)
+    {!warm}; no engines are compiled. *)
 
 val net : t -> Net.t
 
 val warm : t -> [ `Fast ] -> unit
-(** Compiles and pins every node's {!Lipsin_forwarding.Fastpath} engine
-    in one batch, then records {!Net.generation} so {!prepare} can
-    detect staleness.  [`Fast] is the only choice; the argument keeps
-    the call shape existing callers use. *)
+(** Compiles, in one batch, every node the net has not compiled yet
+    ({!Net.fastpath}), so no later {!deliver} takes a cold miss.
+    [`Fast] is the only choice; the argument keeps the call shape the
+    benchmark harness uses. *)
 
 val prepare : t -> [ `Fast ] -> unit
-(** Re-runs {!warm} iff the net was invalidated since the last warm;
-    otherwise free. *)
-
-val reset : t -> unit
-(** Clears the delivery set, seen-link marks and tallies in O(touched).
-    {!deliver} resets implicitly; {!Run.deliver_into} resets before
-    absorbing a fallback outcome. *)
+(** The same as {!warm}: compiles the nodes invalidated since. *)
 
 val set_tree : t -> Lipsin_topology.Graph.link list -> unit
 (** Installs the intended tree for false-positive / over- /
@@ -103,9 +100,10 @@ val set_tree : t -> Lipsin_topology.Graph.link list -> unit
 val deliver :
   t -> src:Lipsin_topology.Graph.node -> table:int ->
   zfilter:Lipsin_bloom.Zfilter.t -> unit
-(** One expand-once publication over the pinned engines, writing the
-    delivery set and tallies into the arena.  Requires {!warm} (or
-    {!prepare}) and {!set_tree} first.  Allocation-free
+(** One expand-once publication over the net's current engines, writing
+    the delivery set, tallies and stitch hits into the arena.  Requires
+    {!set_tree} first.  Allocation-free once the reached nodes are
+    compiled and the hit buffers are large enough
     ([[@lipsin.noalloc]], checked by [lipsin_lint --alloc] and at
     runtime by [bench --soak]). *)
 

@@ -73,37 +73,56 @@ let engine_of = engine
    delivery path. *)
 let audit_enabled () = Sys.getenv_opt "LIPSIN_FASTPATH_AUDIT" <> None
 
+let audit ~caller node f =
+  if audit_enabled () then begin
+    match Lipsin_analysis.Audit.audit f with
+    | [] -> ()
+    | violations ->
+      invalid_arg
+        (Printf.sprintf "Net.%s: audit of node %d's compile failed: %s" caller node
+           (String.concat "; "
+              (List.map Lipsin_analysis.Audit.to_string violations)))
+  end
+
 let fastpath t node =
   match t.fastpaths.(node) with
   | Some f -> f
   | None ->
     let f = Fastpath.compile (engine t node) in
-    if audit_enabled () then begin
-      match Lipsin_analysis.Audit.audit f with
-      | [] -> ()
-      | violations ->
-        invalid_arg
-          (Printf.sprintf "Net.fastpath: audit of node %d's compile failed: %s" node
-             (String.concat "; "
-                (List.map Lipsin_analysis.Audit.to_string violations)))
-    end;
+    audit ~caller:"fastpath" node f;
     t.fastpaths.(node) <- Some f;
     Obs.Counter.incr m_fastpath_compiles;
     f
+
+let compiled t = t.fastpaths
+
+(* A stitch change patches the compiled rows in place: the engine keeps
+   its other rows, its loop cache and its clock, and holders of the
+   compiled array see the new entries without a recompile. *)
+let restitch t node =
+  match t.fastpaths.(node) with
+  | None -> ()
+  | Some f ->
+    Fastpath.restitch f (Node_engine.stitches (engine t node));
+    audit ~caller:"restitch" node f
 
 let invalidate_fastpath t node =
   if t.fastpaths.(node) <> None then Obs.Counter.incr m_invalidations;
   t.fastpaths.(node) <- None;
   t.generation <- t.generation + 1
 
+(* The engines' clocks only age loop-cache entries, so a net without
+   loop prevention has nothing to advance. *)
 let tick t =
   Obs.Counter.incr m_ticks;
-  Array.iter
-    (function Some e -> Node_engine.tick e | None -> ())
-    t.engines;
-  Array.iter
-    (function Some f -> Fastpath.tick f | None -> ())
-    t.fastpaths
+  if t.loop_prevention then begin
+    Array.iter
+      (function Some e -> Node_engine.tick e | None -> ())
+      t.engines;
+    Array.iter
+      (function Some f -> Fastpath.tick f | None -> ())
+      t.fastpaths
+  end
 
 let fail_link t link =
   Node_engine.fail_link (engine t link.Graph.src) link;

@@ -23,14 +23,12 @@ val graph : t -> Lipsin_topology.Graph.t
 
 val generation : t -> int
 (** Monotone invalidation stamp: bumped every time a cached compilation
-    is dropped ({!invalidate_fastpath}, {!fail_link}, {!restore_link}).
-    Holders of compiled-engine snapshots ({!Arena}) compare stamps to
-    detect staleness without re-reading every cache slot. *)
+    is dropped ({!invalidate_fastpath}, {!fail_link}, {!restore_link}),
+    and not by {!restitch}.  A count of recompiles to come. *)
 
 val loop_prevention : t -> bool
 (** Whether engines created by this net keep a loop-prevention cache
-    (couples decisions across publications; the arena fast path defers
-    to {!Run.deliver} when set). *)
+    (couples decisions across publications). *)
 
 val engine : t -> Lipsin_topology.Graph.node -> Lipsin_forwarding.Node_engine.t
 (** The node's engine (created on first use). *)
@@ -43,13 +41,28 @@ val fastpath : t -> Lipsin_topology.Graph.node -> Lipsin_forwarding.Fastpath.t
     state on first use and cached.  {!fail_link}/{!restore_link}
     invalidate the node's compilation automatically; after mutating an
     engine directly (virtual installs, blocks, ...) call
-    {!invalidate_fastpath} yourself.
+    {!invalidate_fastpath} yourself, or {!restitch} after a stitch
+    change.
 
     When the [LIPSIN_FASTPATH_AUDIT] environment variable is set, every
     fresh compilation is verified with {!Lipsin_analysis.Audit} before
     being cached, and [Invalid_argument] is raised listing the
     violations if the blob layout is unsound — a debug-build guardrail
     against encoding-invariant drift. *)
+
+val compiled : t -> Lipsin_forwarding.Fastpath.t option array
+(** The compiled-engine cache itself, shared and not copied: slot [v]
+    is [Some] exactly when {!fastpath} would return without compiling.
+    {!Arena} reads it on every hop so it always decides on current
+    engines.  Read-only outside this module. *)
+
+val restitch : t -> Lipsin_topology.Graph.node -> unit
+(** Patches the node's compiled stitch entries in place from the
+    engine's current stitch list ({!Lipsin_forwarding.Fastpath.restitch})
+    after {!Lipsin_forwarding.Node_engine.install_stitch} or
+    [remove_stitch].  Nothing is recompiled and {!generation} does not
+    move; a node not compiled yet picks the entries up when it is.
+    Audited like a compile under [LIPSIN_FASTPATH_AUDIT]. *)
 
 val invalidate_fastpath : t -> Lipsin_topology.Graph.node -> unit
 (** Drops the node's cached compilation so the next {!fastpath} call
@@ -58,7 +71,8 @@ val invalidate_fastpath : t -> Lipsin_topology.Graph.node -> unit
 val tick : t -> unit
 (** Advances every instantiated engine's clock (ages loop caches).
     {!Run.deliver}, {!Timed.deliver} and the control plane call this
-    once per packet flight. *)
+    once per packet flight.  Without loop prevention the clocks are
+    never read, so only the tick counter moves. *)
 
 val fail_link : t -> Lipsin_topology.Graph.link -> unit
 (** Convenience: marks the link down at its source engine. *)

@@ -291,43 +291,6 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
 
 (* ---- arena-recycled steady-state path ------------------------------- *)
 
-(* Absorb a full [deliver] outcome into the arena so service/soak
-   callers read one shape whether the publication took the recycled fast
-   path or fell back (sampled tracing, reference engine, TTL, loss).
-   The fallback already did its own Obs accounting inside [deliver]. *)
-let absorb (a : Arena.t) (o : outcome) =
-  Arena.reset a;
-  Array.iteri
-    (fun v r ->
-      if r then begin
-        a.Arena.reached.(v) <- true;
-        a.Arena.touched_nodes.(a.Arena.n_reached) <- v;
-        a.Arena.reach_depth.(a.Arena.n_reached) <- 0;
-        a.Arena.n_reached <- a.Arena.n_reached + 1
-      end)
-    o.reached;
-  List.iter
-    (fun l ->
-      let li = l.Graph.index in
-      if not a.Arena.seen_link.(li) then begin
-        a.Arena.seen_link.(li) <- true;
-        a.Arena.touched_links.(a.Arena.n_seen) <- li;
-        a.Arena.n_seen <- a.Arena.n_seen + 1
-      end;
-      if a.Arena.on_tree.(li) then a.Arena.tree_traversed.(li) <- true
-      else a.Arena.over_delivery <- a.Arena.over_delivery + 1)
-    o.traversed;
-  a.Arena.link_traversals <- o.link_traversals;
-  a.Arena.false_positives <- o.false_positives;
-  a.Arena.membership_tests <- o.membership_tests;
-  a.Arena.fill_drops <- o.fill_drops;
-  a.Arena.loop_drops <- o.loop_drops;
-  a.Arena.local_deliveries <- o.local_deliveries;
-  a.Arena.deliveries <- max 0 (a.Arena.n_reached - 1);
-  a.Arena.stitch_matches <- List.length o.stitch_hits;
-  a.Arena.lost <- o.lost;
-  a.Arena.last_packet <- o.packet_id
-
 (* The Obs epilogue of the recycled path, mirroring [deliver]'s: the
    per-publication counters the engines cannot see, the latency
    histogram fed post-hoc from the recorded first-reach depths, and the
@@ -358,34 +321,16 @@ let arena_obs (a : Arena.t) ~table ~flight ~t0 =
       ()
   end
 
-let arena_path scratch ~src ~table ~zfilter =
-  let net = Arena.net scratch in
-  Net.tick net;
-  Arena.prepare scratch `Fast;
+(* [`Fast] is the only engine here; the optional argument stays because
+   the benchmark harness passes it. *)
+let deliver_into ?engine:(`Fast = `Fast) scratch ~src ~table ~zfilter ~tree =
+  Arena.set_tree scratch tree;
+  Net.tick (Arena.net scratch);
   let obs = Obs.enabled () in
   let flight = obs && Obs.Flight.want_note () in
   let t0 = if flight then Unix.gettimeofday () else 0.0 in
   Arena.deliver scratch ~src ~table ~zfilter;
   if obs then arena_obs scratch ~table ~flight ~t0
-
-let deliver_into ?(mode = Expand_once) ?loss ?(engine = `Fast) ?trace scratch
-    ~src ~table ~zfilter ~tree =
-  Arena.set_tree scratch tree;
-  let sampled =
-    match trace with Some c -> c.Obs.Trace.tc_sampled | None -> false
-  in
-  let fallback () =
-    let o =
-      deliver ~mode ?loss ~engine ?trace (Arena.net scratch) ~src ~table
-        ~zfilter ~tree
-    in
-    absorb scratch o
-  in
-  if sampled then fallback ()
-  else
-    match (engine, mode, loss) with
-    | `Fast, Expand_once, None -> arena_path scratch ~src ~table ~zfilter
-    | (`Reference | `Fast), _, _ -> fallback ()
 
 let verify_trace net outcome =
   if outcome.packet_id < 0 then None

@@ -78,10 +78,7 @@ val deliver :
     unstaged). *)
 
 val deliver_into :
-  ?mode:mode ->
-  ?loss:loss ->
-  ?engine:engine ->
-  ?trace:Lipsin_obs.Obs.Trace.ctx ->
+  ?engine:[ `Fast ] ->
   Arena.t ->
   src:Lipsin_topology.Graph.node ->
   table:int ->
@@ -89,18 +86,17 @@ val deliver_into :
   tree:Lipsin_topology.Graph.link list ->
   unit
 (** {!deliver} into recycled scratch: the steady-state path of the
-    forwarding service.  Writes the delivery set and all outcome tallies
-    into [scratch] instead of allocating an {!outcome}.
-
-    Expand-once publications on the compiled [`Fast] engine with no
-    loss and no sampled trace context run the arena's certified
-    zero-allocation loop ({!Arena.deliver}) — ~0 minor words per op
-    versus ~6.8k for {!deliver} (BENCH_PR4 vs BENCH_PR10).  Anything else (reference engine, TTL mode, loss,
-    [trace] with [tc_sampled]) transparently falls back to {!deliver}
-    and absorbs the outcome into [scratch], so callers read one shape
-    either way.  Counter totals and the delivery set are bit-for-bit
-    identical to {!deliver} on the same inputs — the differential suite
-    in [test/test_service.ml] pins this. *)
+    forwarding service and of staged delivery.  One expand-once
+    publication on the compiled engine, run by the arena's certified
+    zero-allocation loop ({!Arena.deliver}), which writes the delivery
+    set, the tallies and the stitch hits into [scratch] instead of
+    allocating an {!outcome} — ~0 minor words per op versus ~6.8k for
+    {!deliver}.  Counter totals and the delivery set equal {!deliver}'s
+    on the same inputs; the differential suite in
+    [test/test_service.ml] pins this.  The reference engine, TTL mode,
+    loss and sampled tracing call {!deliver} directly.  [engine] is
+    [`Fast] only; the argument keeps the call shape the benchmark
+    harness uses. *)
 
 val verify_trace : Net.t -> outcome -> Lipsin_obs.Obs.Span.verdict option
 (** The runtime trace cross-check: reconstructs the publication's span

@@ -6,23 +6,29 @@ module Partition = Lipsin_bloom.Partition
 module Node_engine = Lipsin_forwarding.Node_engine
 module Obs = Lipsin_obs.Obs
 
-type t = { adaptive : Adaptive.t; nets : (int * Net.t) list }
+(* One Net per width, each with an arena that is never warmed: a stage
+   compiles only the nodes it reaches. *)
+type width = { net : Net.t; arena : Arena.t }
+type t = { adaptive : Adaptive.t; widths : (int * width) list }
 
 let make ?fill_limit ?loop_prevention adaptive =
-  let nets =
+  let widths =
     List.map
       (fun m ->
-        (m, Net.make ?fill_limit ?loop_prevention (Adaptive.assignment adaptive ~m)))
+        let net = Net.make ?fill_limit ?loop_prevention (Adaptive.assignment adaptive ~m) in
+        (m, { net; arena = Arena.create net }))
       (Adaptive.widths adaptive)
   in
-  { adaptive; nets }
+  { adaptive; widths }
 
 let adaptive t = t.adaptive
 
-let net t ~m =
-  match List.assoc_opt m t.nets with
-  | Some n -> n
+let width t ~m =
+  match List.assoc_opt m t.widths with
+  | Some w -> w
   | None -> invalid_arg (Printf.sprintf "Stitched.net: unsupported width %d" m)
+
+let net t ~m = (width t ~m).net
 
 let egress_lit t ~m nonce =
   Partition.egress_lit (Assignment.params (Adaptive.assignment t.adaptive ~m)) ~nonce
@@ -42,12 +48,12 @@ let install t part =
   iter_entries t part (fun n lit (h : Partition.handoff) ->
       Node_engine.install_stitch (Net.engine n h.Partition.at) lit
         ~partition:part.Partition.id ~next:h.Partition.next;
-      Net.invalidate_fastpath n h.Partition.at)
+      Net.restitch n h.Partition.at)
 
 let uninstall t part =
   iter_entries t part (fun n lit (h : Partition.handoff) ->
       Node_engine.remove_stitch (Net.engine n h.Partition.at) lit;
-      Net.invalidate_fastpath n h.Partition.at)
+      Net.restitch n h.Partition.at)
 
 type outcome = {
   delivered : int array;
@@ -66,10 +72,10 @@ type outcome = {
   trace_anomalies : string list;
 }
 
-let deliver ?mode ?engine t part =
+let deliver ?(mode = Run.Expand_once) ?(engine = `Reference) t part =
   let stages = part.Partition.stages in
   let n_stages = Array.length stages in
-  let graph = Net.graph (snd (List.hd t.nets)) in
+  let graph = Net.graph (snd (List.hd t.widths)).net in
   let delivered = Array.make (Graph.node_count graph) 0 in
   let activated = Array.make n_stages false in
   let order = ref [] and runs = ref 0 in
@@ -83,52 +89,82 @@ let deliver ?mode ?engine t part =
   let tracing = ctx.Obs.Trace.tc_sampled in
   let packet_id = ctx.Obs.Trace.tc_packet in
   let ring = if tracing then Some (Obs.Trace.local ()) else None in
+  (* Unsampled expand-once stages on the compiled engine run on the
+     width's arena; everything else takes the allocating Run.deliver. *)
+  let on_arena = engine = `Fast && mode = Run.Expand_once && not tracing in
   let queue = Queue.create () in
+  (* One stage run's tallies; [reached] answers for its delivery set. *)
+  let account (s : Partition.stage) ~reached ~link_traversals ~false_positives
+      ~membership_tests ~fill ~loop =
+    List.iter (fun w -> if not (reached w) then incr missed_subs) s.Partition.subscribers;
+    traversals := !traversals + link_traversals;
+    fps := !fps + false_positives;
+    tests := !tests + membership_tests;
+    fill_drops := !fill_drops + fill;
+    loop_drops := !loop_drops + loop
+  in
+  (* One stitch hit of stage [idx]'s run, in the data plane's order. *)
+  let hit idx node pid next =
+    if pid <> part.Partition.id then incr foreign
+    else begin
+      (* Record the handoff before duplicate suppression: the span
+         reconstruction counts activations per target stage, so a
+         duplicate the activation cache hides still surfaces as a
+         Duplicate_activation anomaly at runtime. *)
+      (match ring with
+      | Some r ->
+        Obs.Trace.record r ~stage:idx ~packet:packet_id ~node
+          ~in_link:(-1) ~kind:Obs.Trace.Stitch_handoff
+          ~out_links:[| next |] ~false_positive:false
+          ~loop_suspected:false ~deliver_local:false ~ttl_expired:0
+      | None -> ());
+      if next < 0 || next >= n_stages || activated.(next) then
+        incr duplicate
+      else begin
+        activated.(next) <- true;
+        Queue.add next queue
+      end
+    end
+  in
   Queue.add 0 queue;
   activated.(0) <- true;
   while not (Queue.is_empty queue) do
     let idx = Queue.take queue in
     let s = stages.(idx) in
-    let n = net t ~m:s.Partition.m in
+    let w = width t ~m:s.Partition.m in
     let tree = List.map (Graph.link graph) s.Partition.links in
-    let o =
-      Run.deliver ?mode ?engine ~trace:ctx ~stage:idx n ~src:s.Partition.root
-        ~table:s.Partition.table ~zfilter:s.Partition.filter ~tree
-    in
     incr runs;
     order := idx :: !order;
-    Array.iteri (fun v r -> if r then delivered.(v) <- delivered.(v) + 1) o.Run.reached;
-    List.iter
-      (fun w -> if not o.Run.reached.(w) then incr missed_subs)
-      s.Partition.subscribers;
-    traversals := !traversals + o.Run.link_traversals;
-    fps := !fps + o.Run.false_positives;
-    tests := !tests + o.Run.membership_tests;
-    fill_drops := !fill_drops + o.Run.fill_drops;
-    loop_drops := !loop_drops + o.Run.loop_drops;
-    List.iter
-      (fun (node, pid, next) ->
-        if pid <> part.Partition.id then incr foreign
-        else begin
-          (* Record the handoff before duplicate suppression: the span
-             reconstruction counts activations per target stage, so a
-             duplicate the activation cache hides still surfaces as a
-             Duplicate_activation anomaly at runtime. *)
-          (match ring with
-          | Some r ->
-            Obs.Trace.record r ~stage:idx ~packet:packet_id ~node
-              ~in_link:(-1) ~kind:Obs.Trace.Stitch_handoff
-              ~out_links:[| next |] ~false_positive:false
-              ~loop_suspected:false ~deliver_local:false ~ttl_expired:0
-          | None -> ());
-          if next < 0 || next >= n_stages || activated.(next) then
-            incr duplicate
-          else begin
-            activated.(next) <- true;
-            Queue.add next queue
-          end
-        end)
-      o.Run.stitch_hits
+    if on_arena then begin
+      let a = w.arena in
+      Run.deliver_into a ~src:s.Partition.root ~table:s.Partition.table
+        ~zfilter:s.Partition.filter ~tree;
+      for i = 0 to a.Arena.n_reached - 1 do
+        let v = a.Arena.touched_nodes.(i) in
+        delivered.(v) <- delivered.(v) + 1
+      done;
+      account s ~reached:(Arena.reached_node a)
+        ~link_traversals:a.Arena.link_traversals
+        ~false_positives:a.Arena.false_positives
+        ~membership_tests:a.Arena.membership_tests ~fill:a.Arena.fill_drops
+        ~loop:a.Arena.loop_drops;
+      for i = 0 to a.Arena.stitch_matches - 1 do
+        hit idx a.Arena.hit_node.(i) a.Arena.hit_partition.(i) a.Arena.hit_next.(i)
+      done
+    end
+    else begin
+      let o =
+        Run.deliver ~mode ~engine ~trace:ctx ~stage:idx w.net ~src:s.Partition.root
+          ~table:s.Partition.table ~zfilter:s.Partition.filter ~tree
+      in
+      Array.iteri (fun v r -> if r then delivered.(v) <- delivered.(v) + 1) o.Run.reached;
+      account s ~reached:(Array.get o.Run.reached)
+        ~link_traversals:o.Run.link_traversals
+        ~false_positives:o.Run.false_positives
+        ~membership_tests:o.Run.membership_tests ~fill:o.Run.fill_drops
+        ~loop:o.Run.loop_drops;
+      List.iter (fun (node, pid, next) -> hit idx node pid next) o.Run.stitch_hits
+    end
   done;
   let missed = Array.fold_left (fun acc a -> if a then acc else acc + 1) 0 activated in
   (* Runtime cross-check of the sampled publication — the dynamic twin

@@ -8,15 +8,17 @@
     table entry mapping that LIT to [(partition id, next stage)].  This
     module owns the runtime side: one {!Net} per filter width (all
     views of the same {!Lipsin_core.Adaptive} family, so every width
-    shares the per-link nonces), stitch-entry installation, and the
-    staged delivery loop that follows the data plane's stitch hits
-    from {!Run.outcome}. *)
+    shares the per-link nonces) with one {!Arena} each, stitch-entry
+    installation, and the staged delivery loop that follows the data
+    plane's stitch hits. *)
 
 type t
 
 val make :
   ?fill_limit:float -> ?loop_prevention:bool -> Lipsin_core.Adaptive.t -> t
-(** One lazily-populated {!Net} per width of the family. *)
+(** One lazily-populated {!Net} per width of the family, each with an
+    {!Arena} that is never warmed: only the nodes a stage reaches are
+    compiled. *)
 
 val adaptive : t -> Lipsin_core.Adaptive.t
 
@@ -27,11 +29,13 @@ val net : t -> m:int -> Net.t
 val install : t -> Lipsin_bloom.Partition.t -> unit
 (** Installs every stage's stitch entries: for each handoff of stage
     [p] at node [u], the entry lives in the width-[p.m] net at [u],
-    keyed by the LIT derived from [p]'s egress nonce.  Compiled-engine
-    caches at touched nodes are invalidated. *)
+    keyed by the LIT derived from [p]'s egress nonce.  A handoff node
+    that is already compiled has its stitch entries patched in place
+    ({!Net.restitch}); nothing is invalidated or recompiled. *)
 
 val uninstall : t -> Lipsin_bloom.Partition.t -> unit
-(** Removes the partition's stitch entries (matched by egress nonce). *)
+(** Removes the partition's stitch entries (matched by egress nonce),
+    patching compiled nodes in place like {!install}. *)
 
 type outcome = {
   delivered : int array;
@@ -78,7 +82,12 @@ val deliver :
     named stage at its own root (once — duplicates are counted, not
     followed).  Stages must be installed first ({!install}); a
     partition that was never installed simply strands all non-root
-    stages ([missed_stages]). *)
+    stages ([missed_stages]).
+
+    On the [`Fast] engine in expand-once mode, a publication that is not
+    trace-sampled runs every stage on its width's arena
+    ({!Run.deliver_into}); otherwise each stage runs {!Run.deliver}.
+    Both give the same outcome. *)
 
 val exactly_once : outcome -> Lipsin_bloom.Partition.t -> (unit, string) result
 (** The runtime exactly-once criterion: every stage ran exactly once
