@@ -45,7 +45,7 @@ let whitelist =
   let mods =
     [
       ("Char", [ "code"; "chr"; "unsafe_chr"; "equal"; "compare" ]);
-      ("Bool", [ "not"; "equal"; "compare" ]);
+      ("Bool", [ "not"; "equal"; "compare"; "to_int" ]);
       ( "Int",
         [ "compare"; "equal"; "min"; "max"; "abs"; "to_float"; "of_float";
           "logand"; "logor"; "logxor"; "lognot"; "shift_left";

@@ -38,8 +38,8 @@
       from a legitimate tree.
 
     Run it offline with [lipsin_lint --audit], after every compile in
-    debug runs by setting [LIPSIN_FASTPATH_AUDIT=1] (see
-    {!Lipsin_sim.Net.fastpath}), or directly from tests. *)
+    debug runs by setting [LIPSIN_FASTPATH_AUDIT=1] before the net is
+    made (see {!Lipsin_sim.Net.fastpath}), or directly from tests. *)
 
 type violation = {
   check : string;  (** Which invariant family failed (names above). *)

@@ -217,20 +217,18 @@ let loop_cache_find t key =
   | None -> None
 
 (* Algorithm 1 on the packed row at [off]: every group of the LIT must
-   be covered by the same group of the loaded zFilter.  Most rows miss
-   on their first non-empty group.  Kept in this compilation unit, like
-   the inline copy in [decide_loaded]'s port loop, so the dev profile's
-   -opaque cannot turn any part of an entry test into a call. *)
+   be covered by the same group of the loaded zFilter.  All groups are
+   tested and their misses ORed, with no early exit: which group misses
+   depends on the filter's bits, so a loop that stopped there would
+   mispredict on most multi-group rows.  Kept in this compilation unit,
+   like the inline copy in [decide_loaded]'s port loop, so the dev
+   profile's -opaque cannot turn any part of an entry test into a call. *)
 let[@lipsin.noalloc] subset rows off zg groups =
-  let g = ref 0 in
-  while
-    !g < groups
-    && (let x = Array.get rows (off + !g) in
-        x land Array.get zg !g = x)
-  do
-    incr g
+  let miss = ref 0 in
+  for g = 0 to groups - 1 do
+    miss := !miss lor (Array.get rows (off + g) land lnot (Array.get zg g))
   done;
-  !g = groups
+  !miss = 0
 
 let[@lipsin.noalloc] decide_loaded t ~table ~(filter : Rows.filter)
     ~in_link_index =
@@ -304,29 +302,31 @@ let[@lipsin.noalloc] decide_loaded t ~table ~(filter : Rows.filter)
       let ptab = r.Rows.phys.(table) in
       let btab = r.Rows.blocks.(table) in
       let boff = r.Rows.block_off.(table) in
+      (* Every port is written to [forward]; only an admitted one (no
+         miss, no block match) advances the count past it.  A down
+         port's kill bit is never set in a loaded filter, so it misses. *)
+      let nf = ref 0 in
       for p = 0 to n_ports - 1 do
         let off = p * groups in
-        let g = ref 0 in
-        while
-          !g < groups
-          && (let x = Array.get ptab (off + !g) in
-              x land Array.get zg !g = x)
-        do
-          incr g
+        let miss = ref 0 in
+        for g = 0 to groups - 1 do
+          miss := !miss lor (Array.get ptab (off + g) land lnot (Array.get zg g))
         done;
-        if !g = groups then begin
-          let blocked = ref false in
-          for b = boff.(p) to boff.(p + 1) - 1 do
-            if subset btab (b * groups) zg groups then blocked := true
-          done;
-          if obs && !blocked then bump t.obs.mveto;
-          if (not !blocked) && seen.(p) <> gen then begin
-            seen.(p) <- gen;
-            forward.(d.n_forward) <- p;
-            d.n_forward <- d.n_forward + 1
-          end
-        end
+        let vetoed = ref 0 in
+        for b = boff.(p) to boff.(p + 1) - 1 do
+          vetoed := !vetoed lor Bool.to_int (subset btab (b * groups) zg groups)
+        done;
+        if obs && !miss = 0 && !vetoed <> 0 then bump t.obs.mveto;
+        forward.(!nf) <- p;
+        nf := !nf + Bool.to_int (!miss lor !vetoed = 0)
       done;
+      d.n_forward <- !nf;
+      (* Physical ports are distinct; stamp them only for the virtual
+         links' dedup. *)
+      if r.Rows.n_virt > 0 then
+        for i = 0 to !nf - 1 do
+          seen.(forward.(i)) <- gen
+        done;
       let vtab = r.Rows.virt.(table) in
       let v_out_off = r.Rows.v_out_off in
       let v_out_ports = r.Rows.v_out_ports in

@@ -30,7 +30,12 @@ type t = {
   mutable generation : int;
       (* bumped whenever a cached compilation is dropped, so holders of
          compiled-engine snapshots (Arena) can detect staleness cheaply *)
+  audit : bool;  (* LIPSIN_FASTPATH_AUDIT at make *)
 }
+
+(* Debug guardrails read from the environment: set and non-empty. *)
+let env_flag name =
+  match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
 
 let make ?fill_limit ?(loop_prevention = true) assignment =
   let n = Graph.node_count (Assignment.graph assignment) in
@@ -41,6 +46,7 @@ let make ?fill_limit ?(loop_prevention = true) assignment =
     engines = Array.make n None;
     fastpaths = Array.make n None;
     generation = 0;
+    audit = env_flag "LIPSIN_FASTPATH_AUDIT";
   }
 
 let assignment t = t.assignment
@@ -66,15 +72,11 @@ let engine t node =
 
 let engine_of = engine
 
-(* Debug guardrail: with LIPSIN_FASTPATH_AUDIT set, every compile is
-   re-verified against the blob-layout invariants before it can serve a
-   decision.  Read per compile (compiles are rare) so no global state is
-   introduced — this module is reachable from the Domain-parallel
-   delivery path. *)
-let audit_enabled () = Sys.getenv_opt "LIPSIN_FASTPATH_AUDIT" <> None
-
-let audit ~caller node f =
-  if audit_enabled () then begin
+(* Debug guardrail: with LIPSIN_FASTPATH_AUDIT set when the net was
+   made, every compile and restitch is re-verified against the
+   blob-layout invariants before it can serve a decision. *)
+let audit t ~caller node f =
+  if t.audit then begin
     match Lipsin_analysis.Audit.audit f with
     | [] -> ()
     | violations ->
@@ -89,7 +91,7 @@ let fastpath t node =
   | Some f -> f
   | None ->
     let f = Fastpath.compile (engine t node) in
-    audit ~caller:"fastpath" node f;
+    audit t ~caller:"fastpath" node f;
     t.fastpaths.(node) <- Some f;
     Obs.Counter.incr m_fastpath_compiles;
     f
@@ -104,7 +106,7 @@ let restitch t node =
   | None -> ()
   | Some f ->
     Fastpath.restitch f (Node_engine.stitches (engine t node));
-    audit ~caller:"restitch" node f
+    audit t ~caller:"restitch" node f
 
 let invalidate_fastpath t node =
   if t.fastpaths.(node) <> None then Obs.Counter.incr m_invalidations;
@@ -145,14 +147,9 @@ let verify ?(samples = 0) ?(seed = 0x11) t =
    and refused if the deployment admits an Error-severity finding
    (uncatchable loop, LIT collision, unsound recovery).  Read per make
    (makes are rare) so no global state is introduced. *)
-let netcheck_enabled () =
-  match Sys.getenv_opt "LIPSIN_NETCHECK" with
-  | None | Some "" -> false
-  | Some _ -> true
-
 let make ?fill_limit ?loop_prevention assignment =
   let t = make ?fill_limit ?loop_prevention assignment in
-  if netcheck_enabled () then begin
+  if env_flag "LIPSIN_NETCHECK" then begin
     match Lipsin_analysis.Netcheck.errors (verify t) with
     | [] -> ()
     | errs ->

@@ -44,11 +44,12 @@ val fastpath : t -> Lipsin_topology.Graph.node -> Lipsin_forwarding.Fastpath.t
     {!invalidate_fastpath} yourself, or {!restitch} after a stitch
     change.
 
-    When the [LIPSIN_FASTPATH_AUDIT] environment variable is set, every
-    fresh compilation is verified with {!Lipsin_analysis.Audit} before
-    being cached, and [Invalid_argument] is raised listing the
-    violations if the blob layout is unsound — a debug-build guardrail
-    against encoding-invariant drift. *)
+    When the [LIPSIN_FASTPATH_AUDIT] environment variable was set
+    (non-empty) at {!make}, every fresh compilation of this net is
+    verified with {!Lipsin_analysis.Audit} before being cached, and
+    [Invalid_argument] is raised listing the violations if the blob
+    layout is unsound — a debug-build guardrail against
+    encoding-invariant drift. *)
 
 val compiled : t -> Lipsin_forwarding.Fastpath.t option array
 (** The compiled-engine cache itself, shared and not copied: slot [v]

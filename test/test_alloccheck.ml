@@ -67,6 +67,19 @@ let test_whitelisted_primitives () =
   Alcotest.(check int) "Bytes/Char primitives and abort heads are clean" 0
     (List.length findings)
 
+let test_bool_to_int () =
+  let findings =
+    check
+      "let[@lipsin.noalloc] f a x =\n\
+      \  let n = ref 0 in\n\
+      \  for i = 0 to Array.length a - 1 do\n\
+      \    n := !n + Bool.to_int (Array.get a i land x = 0)\n\
+      \  done;\n\
+      \  !n\n"
+  in
+  Alcotest.(check int) "Bool.to_int counts without a finding" 0
+    (List.length findings)
+
 let test_escaping_closure () =
   let findings =
     check
@@ -201,6 +214,7 @@ let () =
           Alcotest.test_case "clean elimref loops" `Quick test_clean_loops;
           Alcotest.test_case "whitelisted primitives" `Quick
             test_whitelisted_primitives;
+          Alcotest.test_case "Bool.to_int" `Quick test_bool_to_int;
         ] );
       ( "violations",
         [

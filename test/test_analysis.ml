@@ -324,6 +324,38 @@ let audit_env_hook () =
       Alcotest.(check bool) "delivery ran under the audit gate" true
         (o.Run.link_traversals >= 0))
 
+(* The audit switch is read once, at Net.make, and an empty value counts
+   as unset.  Each net compiles node 0, then has a kill bit flipped and
+   is restitched: only a net made under a non-empty value refuses. *)
+let audit_env_read_at_make () =
+  let rng = Rng.of_int 13 in
+  let graph = Generator.pref_attach ~rng ~nodes:8 ~edges:10 ~max_degree:4 () in
+  let asg = Assignment.make (Lit.constant_k ~m:64 ~d:2 ~k:4) (Rng.split rng) graph in
+  let refuses net =
+    let r = (Fastpath.view (Net.fastpath net 0)).Fastpath.view_rows in
+    let g = r.Rows.m / Rows.group_bits in
+    let rows = r.Rows.phys.(0) in
+    rows.(g) <- rows.(g) lxor (1 lsl (r.Rows.m mod Rows.group_bits));
+    match Net.restitch net 0 with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let make_with value =
+    Unix.putenv "LIPSIN_FASTPATH_AUDIT" value;
+    Net.make asg
+  in
+  let audited = make_with "1" in
+  let empty = make_with "" in
+  let unaudited = make_with "" in
+  Unix.putenv "LIPSIN_FASTPATH_AUDIT" "1";
+  let empty_refuses = refuses empty and unaudited_refuses = refuses unaudited in
+  Unix.putenv "LIPSIN_FASTPATH_AUDIT" "";
+  Alcotest.(check bool) "made under \"1\": audited after the variable is cleared"
+    true (refuses audited);
+  Alcotest.(check bool) "made under \"\": not audited" false empty_refuses;
+  Alcotest.(check bool) "setting the variable after make changes nothing" false
+    unaudited_refuses
+
 let prop_audit_accepts_compiles =
   QCheck.Test.make ~name:"audit accepts every Fastpath.compile output" ~count:250
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
@@ -385,6 +417,8 @@ let () =
           Alcotest.test_case "clean compile, corrupted kill bit" `Quick audit_unit;
           Alcotest.test_case "local LIT popcount" `Quick audit_local_popcount;
           Alcotest.test_case "Net audit gate (env hook)" `Quick audit_env_hook;
+          Alcotest.test_case "Net audit gate read at make" `Quick
+            audit_env_read_at_make;
           QCheck_alcotest.to_alcotest prop_audit_accepts_compiles;
           QCheck_alcotest.to_alcotest prop_audit_rejects_corruption;
           QCheck_alcotest.to_alcotest prop_structural_catches_phys;

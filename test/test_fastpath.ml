@@ -20,6 +20,7 @@ module Net = Lipsin_sim.Net
 module Run = Lipsin_sim.Run
 module Rng = Lipsin_util.Rng
 module Audit = Lipsin_analysis.Audit
+module Rows = Lipsin_forwarding.Rows
 
 let link_indexes v = List.map (fun l -> l.Graph.index) v
 
@@ -76,7 +77,9 @@ let build_scenario ?hub seed ~nodes ~steps:_ =
       Generator.pref_attach ~rng ~nodes ~edges:(nodes - 1 + extra)
         ~max_degree:8 ()
   in
-  let m = [| 61; 64; 120; 248 |].(Rng.int rng 4) in
+  (* 125 puts the kill bit at the top of its last group, 126 gives the
+     kill bit a group of its own, and 504 makes 9-group rows. *)
+  let m = [| 61; 64; 120; 125; 126; 248; 504 |].(Rng.int rng 7) in
   let d = 1 + Rng.int rng 4 in
   let k = 3 + Rng.int rng 3 in
   let params = Lit.constant_k ~m ~d ~k in
@@ -362,6 +365,80 @@ let test_byte_plane_agreement () =
         (pp_verdict f)
   done
 
+(* A 16-port hub at width [m], fill limit 1.0 so that near-full filters
+   are decided, with [down] of its ports failed. *)
+let hub_at ~m ~down =
+  let g = star 16 in
+  let asg = Assignment.make (Lit.constant_k ~m ~d:2 ~k:5) (Rng.of_int m) g in
+  let engine = Node_engine.create ~fill_limit:1.0 ~loop_prevention:false asg 0 in
+  let out = Array.of_list (Graph.out_links g 0) in
+  List.iter (fun p -> Node_engine.fail_link engine out.(p)) down;
+  (asg, engine, out, Fastpath.compile engine)
+
+let check_agrees ~what engine fast ~table z =
+  let reference = Node_engine.forward engine ~table ~zfilter:z ~in_link:None in
+  let f =
+    Fastpath.verdict fast (Fastpath.decide fast ~table ~zfilter:z ~in_link_index:(-1))
+  in
+  if not (same_verdict reference f) then
+    Alcotest.failf "%s: ref %s / fast %s" what (pp_verdict reference) (pp_verdict f);
+  link_indexes reference.Node_engine.forward_on
+
+(* Each port's row against an all-ones filter minus the row's highest
+   bit: the one miss sits in the row's last live group, after every
+   other group has matched. *)
+let test_miss_in_last_group () =
+  List.iter
+    (fun m ->
+      let asg, engine, out, fast = hub_at ~m ~down:[] in
+      let last_group_misses = ref 0 in
+      Array.iteri
+        (fun p l ->
+          for table = 0 to 1 do
+            let tag = Assignment.tag asg l ~table in
+            let top = List.fold_left max 0 (Bitvec.set_positions tag) in
+            if top / Rows.group_bits = (m - 1) / Rows.group_bits then
+              incr last_group_misses;
+            let z = Zfilter.create ~m in
+            Bitvec.set_all (Zfilter.to_bitvec z);
+            Bitvec.clear (Zfilter.to_bitvec z) top;
+            let fwd =
+              check_agrees ~what:(Printf.sprintf "m=%d port %d table %d" m p table)
+                engine fast ~table z
+            in
+            Alcotest.(check bool) "the port is not admitted" false
+              (List.mem l.Graph.index fwd)
+          done)
+        out;
+      Alcotest.(check bool)
+        (Printf.sprintf "m=%d: some row's only miss is in group %d" m
+           ((m - 1) / Rows.group_bits))
+        true (!last_group_misses > 0))
+    [ 125; 504 ]
+
+(* An all-ones filter covers every live bit of every row, so a down
+   port's only miss is its kill bit: the top bit of the last group at
+   m = 125, a group of its own at 126 and 504. *)
+let test_kill_bit_only_miss () =
+  List.iter
+    (fun m ->
+      let _, engine, out, fast = hub_at ~m ~down:[ 2; 9 ] in
+      for table = 0 to 1 do
+        let z = Zfilter.create ~m in
+        Bitvec.set_all (Zfilter.to_bitvec z);
+        let fwd =
+          check_agrees ~what:(Printf.sprintf "m=%d table %d" m table) engine fast
+            ~table z
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "m=%d: every up port, no down port" m)
+          (List.filter
+             (fun i -> i <> out.(2).Graph.index && i <> out.(9).Graph.index)
+             (link_indexes (Array.to_list out)))
+          fwd
+      done)
+    [ 125; 126; 504 ]
+
 let () =
   Alcotest.run "fastpath"
     [
@@ -371,6 +448,10 @@ let () =
           Alcotest.test_case "star hubs of 64 and 256 ports" `Quick
             test_star_hubs;
           QCheck_alcotest.to_alcotest prop_batch_matches_reference;
+          Alcotest.test_case "only miss in the last group" `Quick
+            test_miss_in_last_group;
+          Alcotest.test_case "kill bit is the only miss" `Quick
+            test_kill_bit_only_miss;
         ] );
       ( "integration",
         [

@@ -53,6 +53,9 @@ let handoff_nodes part =
         acc s.Partition.handoffs)
     [] part.Partition.stages
 
+let compare_handoff (m1, n1) (m2, n2) =
+  match Int.compare m1 m2 with 0 -> Int.compare n1 n2 | c -> c
+
 let pp_hits l =
   String.concat ";" (List.map (fun (p, n) -> Printf.sprintf "%d>%d" p n) l)
 
@@ -74,7 +77,7 @@ let test_restitch_equals_compile () =
   let _g, hosts, adaptive = fixture 4 ~hosts:150 in
   let a = plan adaptive hosts ~id:1 ~root:0 ~audience:110 in
   let b = plan adaptive hosts ~id:2 ~root:0 ~audience:110 in
-  let nodes = List.sort_uniq compare (handoff_nodes a @ handoff_nodes b) in
+  let nodes = List.sort_uniq compare_handoff (handoff_nodes a @ handoff_nodes b) in
   let shared = List.filter (fun n -> List.mem n (handoff_nodes b)) (handoff_nodes a) in
   Alcotest.(check bool) "the partitions share stitch nodes" true (shared <> []);
   let st = Stitched.make ~loop_prevention:false adaptive in
@@ -159,7 +162,7 @@ let test_arena_reuse_across_widths () =
     List.init 5 (fun i -> plan adaptive hosts ~id:(10 + i) ~root:(3 * i) ~audience:(60 + (15 * i)))
   in
   let widths =
-    List.sort_uniq compare
+    List.sort_uniq Int.compare
       (List.concat_map
          (fun p -> Array.to_list (Array.map (fun (s : Partition.stage) -> s.Partition.m) p.Partition.stages))
          parts)
