@@ -814,9 +814,10 @@ let run_partition_sweep () =
    - ops/sec >= 2x BENCH_PR4's sequential deliver-16-users-fast
      ops_per_sec (the spawn-free pool must beat one core by more than
      the core count excuse);
-   - minor words/op <= 64 on the steady-state path (vs ~6.8k/op for
-     the allocating Run.deliver the arena replaced) — worker Gc deltas
-     plus dispatcher-side allocation, nothing exempted;
+   - minor words/op <= 64 on the steady-state path (the recycled
+     arena; a fresh one per publication, as Run.deliver makes, costs
+     link-sized arrays) — worker Gc deltas plus dispatcher-side
+     allocation, nothing exempted;
    - service counter totals bit-for-bit equal measured_ops x the
      sequential Run.deliver counters for the same publication (a
      silent-corruption tripwire at scale).

@@ -527,9 +527,9 @@ let soak_cmd =
           value & opt int 1024
           & info [ "sample" ] ~docv:"N"
               ~doc:
-                "Trace 1-in-$(docv) publications (sampled jobs take the \
-                 full allocating path; the rest run the zero-alloc \
-                 arena loop).  0 disables the trace ring."))
+                "Trace 1-in-$(docv) publications (every job runs on \
+                 the arena loop; sampled ones also record one trace \
+                 event per hop).  0 disables the trace ring."))
 
 let () =
   let info =

@@ -1,6 +1,7 @@
 (* Runtime telemetry: domain-safe counters, gauges, log-scale
    histograms, a bounded per-domain trace ring, and Prometheus/JSON
-   exporters.  Zero dependencies so every layer can instrument itself.
+   exporters.  Its one dependency is the CLOCK_MONOTONIC stub of
+   bechamel's monotonic_clock, so every layer can instrument itself.
 
    Concurrency model: each metric owns one *cell* per domain, created
    lazily through domain-local storage and padded so neighbouring cells
@@ -25,6 +26,15 @@ module Sink = struct
     | Memory -> Atomic.set live true
 
   let current () = if Atomic.get live then Memory else Noop
+end
+
+(* ---- clock --------------------------------------------------------- *)
+
+(* Interval timing on CLOCK_MONOTONIC: immune to wall-clock steps, and
+   the unboxed external keeps a read allocation-free. *)
+module Clock = struct
+  let now () = Int64.to_int (Monotonic_clock.now ())
+  let seconds_since t0 = float_of_int (now () - t0) *. 1e-9
 end
 
 (* ---- registry ------------------------------------------------------- *)

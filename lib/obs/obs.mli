@@ -4,9 +4,9 @@
     turned into measurable events: monotonic counters, gauges,
     log-scale histograms with quantile summaries, and a bounded
     per-domain trace ring from which per-packet delivery traces are
-    reconstructable.  The module has zero dependencies so every layer —
-    {!Lipsin_forwarding.Fastpath}'s hot loop included — can instrument
-    itself.
+    reconstructable.  The module depends on nothing but a monotonic
+    clock stub, so every layer — {!Lipsin_forwarding.Fastpath}'s hot
+    loop included — can instrument itself.
 
     {b Concurrency.}  A metric owns one {e cell} per domain, created
     lazily through domain-local storage and padded to a cache line, so
@@ -23,6 +23,17 @@
 
 val enabled : unit -> bool
 (** [true] iff the memory sink is installed. *)
+
+(** Interval timing on the monotonic clock (CLOCK_MONOTONIC, via
+    bechamel's [monotonic_clock] stub): every duration the runtime
+    reports is read here, never from the wall clock. *)
+module Clock : sig
+  val now : unit -> int
+  (** Nanoseconds since an arbitrary origin; allocation-free. *)
+
+  val seconds_since : int -> float
+  (** Seconds elapsed since a {!now} reading. *)
+end
 
 module Sink : sig
   type t =

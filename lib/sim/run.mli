@@ -15,7 +15,7 @@
     visited node performs is a "tested element"; a match on a link
     outside the intended tree is a false positive. *)
 
-type mode = Expand_once | Ttl of int
+type mode = Arena.mode = Expand_once | Ttl of int
 
 type engine = [ `Reference | `Fast ]
 (** Which decision engine each visited node runs: the reference
@@ -24,7 +24,7 @@ type engine = [ `Reference | `Fast ]
     The two agree decision-for-decision — the differential test suite
     enforces it — so experiments can switch freely. *)
 
-type loss = {
+type loss = Arena.loss = {
   probability : float;  (** Per-traversal drop probability, \[0, 1). *)
   rng : Lipsin_util.Rng.t;
 }
@@ -63,7 +63,8 @@ val deliver :
   zfilter:Lipsin_bloom.Zfilter.t ->
   tree:Lipsin_topology.Graph.link list ->
   outcome
-(** Simulates one publication.  [tree] is the *intended* delivery tree,
+(** Simulates one publication on a fresh {!Arena} over [net] and reads
+    the {!outcome} out of it.  [tree] is the *intended* delivery tree,
     used only for false-positive classification (pass [] to classify
     every match as false, e.g. for attack traffic).  With [loss], each
     link traversal is dropped independently with the given probability
@@ -75,10 +76,16 @@ val deliver :
     they share a publication id; without it the delivery takes its own
     1-in-N sampling decision ({!Lipsin_obs.Obs.Trace.start}).  [stage]
     tags every recorded event with the partition stage (default [-1] =
-    unstaged). *)
+    unstaged).
+    @raise Invalid_argument if the loss probability is not in \[0, 1)
+    (NaN included). *)
 
 val deliver_into :
-  ?engine:[ `Fast ] ->
+  ?mode:mode ->
+  ?loss:loss ->
+  ?engine:engine ->
+  ?trace:Lipsin_obs.Obs.Trace.ctx ->
+  ?stage:int ->
   Arena.t ->
   src:Lipsin_topology.Graph.node ->
   table:int ->
@@ -86,17 +93,18 @@ val deliver_into :
   tree:Lipsin_topology.Graph.link list ->
   unit
 (** {!deliver} into recycled scratch: the steady-state path of the
-    forwarding service and of staged delivery.  One expand-once
-    publication on the compiled engine, run by the arena's certified
-    zero-allocation loop ({!Arena.deliver}), which writes the delivery
-    set, the tallies and the stitch hits into [scratch] instead of
-    allocating an {!outcome} — ~0 minor words per op versus ~6.8k for
-    {!deliver}.  Counter totals and the delivery set equal {!deliver}'s
-    on the same inputs; the differential suite in
-    [test/test_service.ml] pins this.  The reference engine, TTL mode,
-    loss and sampled tracing call {!deliver} directly.  [engine] is
-    [`Fast] only; the argument keeps the call shape the benchmark
-    harness uses. *)
+    forwarding service and of staged delivery.  The delivery set,
+    traversal log, tallies and stitch hits land in [scratch]
+    ({!outcome_of} reads them out) instead of a fresh arena, and the Obs
+    epilogue is the same.  Defaults differ from {!deliver}'s: [engine]
+    is [`Fast] and [trace] is {!Lipsin_obs.Obs.Trace.off}, so an
+    expand-once call without loss runs {!Arena.run}'s certified
+    zero-allocation path — 0 minor words per op once the reached nodes
+    are compiled.
+    @raise Invalid_argument as {!deliver} does. *)
+
+val outcome_of : Arena.t -> outcome
+(** The last publication run on the arena, as an {!outcome}. *)
 
 val verify_trace : Net.t -> outcome -> Lipsin_obs.Obs.Span.verdict option
 (** The runtime trace cross-check: reconstructs the publication's span

@@ -63,7 +63,6 @@ type stats = {
    (mutex release/acquire orders the plain fields). *)
 type wctx = {
   w_id : int;
-  w_net : Net.t;
   w_arena : Arena.t;
   mutable w_stitched : Stitched.t option;
   mutable w_tick : int;  (* 1-in-64 latency sampling phase *)
@@ -90,6 +89,10 @@ type t = {
   assignment : Assignment.t;
   adaptive : Adaptive.t option;
   engine : Run.engine;
+  engine_arg : Run.engine option;
+      (* [Some engine], built once: the optional arguments of
+         [Run.deliver_into] take prebuilt options, because a [Some]
+         built at the call would allocate on every publication *)
   loop_prevention : bool;
   n_workers : int;
   mu : Mutex.t;
@@ -135,19 +138,21 @@ let stitched_of t w =
     w.w_stitched <- Some s;
     s
 
-let accum_outcome w (o : Run.outcome) =
-  w.w_traversals <- w.w_traversals + o.Run.link_traversals;
-  w.w_fps <- w.w_fps + o.Run.false_positives;
-  w.w_tests <- w.w_tests + o.Run.membership_tests;
-  w.w_fill <- w.w_fill + o.Run.fill_drops;
-  w.w_loop <- w.w_loop + o.Run.loop_drops;
-  w.w_local <- w.w_local + o.Run.local_deliveries;
-  let reached = ref 0 in
-  Array.iter (fun r -> if r then incr reached) o.Run.reached;
-  w.w_reached <- w.w_reached + !reached;
-  if o.Run.packet_id >= 0 then w.w_sampled <- w.w_sampled + 1
-
-let accum_arena w =
+(* One job on the worker's arena, for either engine, sampled or not:
+   one 1-in-N trace-sampling draw per publication, and a 1-in-64
+   wall-time sample feeding the service latency histogram. *)
+let deliver_job t w j =
+  let ctx = Obs.Trace.start () in
+  let sampled = ctx.Obs.Trace.tc_sampled in
+  let tick = w.w_tick in
+  w.w_tick <- tick + 1;
+  let timed = tick land 63 = 0 && Obs.enabled () in
+  let t0 = if timed then Obs.Clock.now () else 0 in
+  Run.deliver_into ?engine:t.engine_arg
+    ?trace:(if sampled then Some ctx else None)
+    w.w_arena ~src:j.job_src ~table:j.job_table ~zfilter:j.job_zfilter
+    ~tree:j.job_tree;
+  if timed then Obs.Histogram.observe h_job (Obs.Clock.seconds_since t0);
   let a = w.w_arena in
   w.w_traversals <- w.w_traversals + a.Arena.link_traversals;
   w.w_fps <- w.w_fps + a.Arena.false_positives;
@@ -155,55 +160,16 @@ let accum_arena w =
   w.w_fill <- w.w_fill + a.Arena.fill_drops;
   w.w_loop <- w.w_loop + a.Arena.loop_drops;
   w.w_local <- w.w_local + a.Arena.local_deliveries;
-  w.w_reached <- w.w_reached + a.Arena.n_reached
+  w.w_reached <- w.w_reached + a.Arena.n_reached;
+  if sampled then w.w_sampled <- w.w_sampled + 1
 
-(* One claimed job.  The counter path takes one 1-in-N trace-sampling
-   draw per publication: sampled publications run the full allocating
-   path (per-hop trace events), everything else runs the arena's
-   zero-alloc loop, with a 1-in-64 wall-time sample feeding the service
-   latency histogram. *)
 let exec_one t w i =
   match t.exec with
   | Exec_none -> ()
-  | Exec_count jobs ->
-    let j = Array.get jobs i in
-    (match t.engine with
-    | `Reference ->
-      let ctx = Obs.Trace.start () in
-      let o =
-        Run.deliver ~engine:`Reference ~trace:ctx w.w_net ~src:j.job_src
-          ~table:j.job_table ~zfilter:j.job_zfilter ~tree:j.job_tree
-      in
-      accum_outcome w o
-    | `Fast ->
-      let ctx = Obs.Trace.start () in
-      if ctx.Obs.Trace.tc_sampled then begin
-        let o =
-          Run.deliver ~engine:`Fast ~trace:ctx w.w_net
-            ~src:j.job_src ~table:j.job_table ~zfilter:j.job_zfilter
-            ~tree:j.job_tree
-        in
-        accum_outcome w o
-      end
-      else begin
-        let tick = w.w_tick in
-        w.w_tick <- tick + 1;
-        let timed = tick land 63 = 0 && Obs.enabled () in
-        let t0 = if timed then Unix.gettimeofday () else 0.0 in
-        Run.deliver_into ~engine:`Fast w.w_arena ~src:j.job_src
-          ~table:j.job_table ~zfilter:j.job_zfilter ~tree:j.job_tree;
-        if timed then
-          Obs.Histogram.observe h_job (Unix.gettimeofday () -. t0);
-        accum_arena w
-      end)
+  | Exec_count jobs -> deliver_job t w (Array.get jobs i)
   | Exec_collect (jobs, f) ->
-    let j = Array.get jobs i in
-    let o =
-      Run.deliver ~engine:t.engine w.w_net ~src:j.job_src ~table:j.job_table
-        ~zfilter:j.job_zfilter ~tree:j.job_tree
-    in
-    accum_outcome w o;
-    f i o
+    deliver_job t w (Array.get jobs i);
+    f i (Run.outcome_of w.w_arena)
   | Exec_partition (parts, f) ->
     let s = stitched_of t w in
     let p = Array.get parts i in
@@ -272,7 +238,6 @@ let worker_main t id =
   let w =
     {
       w_id = id;
-      w_net = net;
       w_arena = arena;
       w_stitched = None;
       w_tick = 0;
@@ -343,6 +308,7 @@ let create ?workers ?(engine = `Fast) ?(loop_prevention = false) ?adaptive
       assignment;
       adaptive;
       engine;
+      engine_arg = Some engine;
       loop_prevention;
       n_workers;
       mu = Mutex.create ();
@@ -392,7 +358,7 @@ let zero_stats ~workers ~elapsed =
 
 let dispatch t ~n exec_v =
   Obs.Counter.incr m_batches;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   Mutex.lock t.mu;
   if t.stop then begin
     Mutex.unlock t.mu;
@@ -422,7 +388,7 @@ let dispatch t ~n exec_v =
   t.failure <- None;
   Mutex.unlock t.mu;
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Obs.Clock.seconds_since t0 in
   let st = ref (zero_stats ~workers:t.n_workers ~elapsed) in
   Array.iter
     (function

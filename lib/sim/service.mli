@@ -8,11 +8,11 @@
     dispatched, never set up.  Per batch the jobs are split into one
     contiguous shard per worker; workers drain their own shard first and
     then steal from the other shards' atomic cursors, so skewed
-    fan-outs spread across the pool.  Steady-state publications run
-    {!Run.deliver_into}'s certified zero-alloc arena loop; trace-sampled
-    publications (1-in-N, process-wide) transparently take the full
-    {!Run.deliver} path so observability is identical to sequential
-    delivery.
+    fan-outs spread across the pool.  Every publication, on either
+    engine and trace-sampled (1-in-N, process-wide) or not, runs on the
+    worker's arena through {!Run.deliver_into}; an unsampled [`Fast]
+    publication takes its certified zero-alloc path, and a sampled one
+    records the same per-hop trace events as sequential delivery.
 
     Totals are deterministic for any worker count and steal order
     (loop prevention off): every job is claimed exactly once and
@@ -58,7 +58,8 @@ type stats = {
       (** Minor GC words allocated by the workers during the batch
           (summed Gc deltas) — divide by [st_jobs] for the
           steady-state words/op the soak bench gates on. *)
-  st_elapsed_s : float;  (** Dispatch-to-completion wall time. *)
+  st_elapsed_s : float;
+      (** Dispatch-to-completion time, on the monotonic clock. *)
 }
 
 val create :
@@ -90,9 +91,9 @@ val run : t -> job array -> stats
     its table is outside \[0, d) or its source is not a node. *)
 
 val run_collect : t -> job array -> f:(int -> Run.outcome -> unit) -> stats
-(** Like {!run} but every job takes the full allocating
-    {!Run.deliver} path and [f i outcome] is invoked {e on the worker
-    domain} that ran job [i] — the differential-test entry point.
+(** Like {!run} but [f i outcome] is invoked {e on the worker domain}
+    that ran job [i], with the job's outcome read out of the worker's
+    arena ({!Run.outcome_of}) — the differential-test entry point.
     If [f] raises, the rest of the batch still runs and the first
     exception is re-raised here; the pool keeps serving.
     @raise Invalid_argument as {!run} does. *)

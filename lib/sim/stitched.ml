@@ -26,7 +26,7 @@ let adaptive t = t.adaptive
 let width t ~m =
   match List.assoc_opt m t.widths with
   | Some w -> w
-  | None -> invalid_arg (Printf.sprintf "Stitched.net: unsupported width %d" m)
+  | None -> invalid_arg (Printf.sprintf "Stitched: unsupported width %d" m)
 
 let net t ~m = (width t ~m).net
 
@@ -89,20 +89,7 @@ let deliver ?(mode = Run.Expand_once) ?(engine = `Reference) t part =
   let tracing = ctx.Obs.Trace.tc_sampled in
   let packet_id = ctx.Obs.Trace.tc_packet in
   let ring = if tracing then Some (Obs.Trace.local ()) else None in
-  (* Unsampled expand-once stages on the compiled engine run on the
-     width's arena; everything else takes the allocating Run.deliver. *)
-  let on_arena = engine = `Fast && mode = Run.Expand_once && not tracing in
   let queue = Queue.create () in
-  (* One stage run's tallies; [reached] answers for its delivery set. *)
-  let account (s : Partition.stage) ~reached ~link_traversals ~false_positives
-      ~membership_tests ~fill ~loop =
-    List.iter (fun w -> if not (reached w) then incr missed_subs) s.Partition.subscribers;
-    traversals := !traversals + link_traversals;
-    fps := !fps + false_positives;
-    tests := !tests + membership_tests;
-    fill_drops := !fill_drops + fill;
-    loop_drops := !loop_drops + loop
-  in
   (* One stitch hit of stage [idx]'s run, in the data plane's order. *)
   let hit idx node pid next =
     if pid <> part.Partition.id then incr foreign
@@ -135,36 +122,24 @@ let deliver ?(mode = Run.Expand_once) ?(engine = `Reference) t part =
     let tree = List.map (Graph.link graph) s.Partition.links in
     incr runs;
     order := idx :: !order;
-    if on_arena then begin
-      let a = w.arena in
-      Run.deliver_into a ~src:s.Partition.root ~table:s.Partition.table
-        ~zfilter:s.Partition.filter ~tree;
-      for i = 0 to a.Arena.n_reached - 1 do
-        let v = a.Arena.touched_nodes.(i) in
-        delivered.(v) <- delivered.(v) + 1
-      done;
-      account s ~reached:(Arena.reached_node a)
-        ~link_traversals:a.Arena.link_traversals
-        ~false_positives:a.Arena.false_positives
-        ~membership_tests:a.Arena.membership_tests ~fill:a.Arena.fill_drops
-        ~loop:a.Arena.loop_drops;
-      for i = 0 to a.Arena.stitch_matches - 1 do
-        hit idx a.Arena.hit_node.(i) a.Arena.hit_partition.(i) a.Arena.hit_next.(i)
-      done
-    end
-    else begin
-      let o =
-        Run.deliver ~mode ~engine ~trace:ctx ~stage:idx w.net ~src:s.Partition.root
-          ~table:s.Partition.table ~zfilter:s.Partition.filter ~tree
-      in
-      Array.iteri (fun v r -> if r then delivered.(v) <- delivered.(v) + 1) o.Run.reached;
-      account s ~reached:(Array.get o.Run.reached)
-        ~link_traversals:o.Run.link_traversals
-        ~false_positives:o.Run.false_positives
-        ~membership_tests:o.Run.membership_tests ~fill:o.Run.fill_drops
-        ~loop:o.Run.loop_drops;
-      List.iter (fun (node, pid, next) -> hit idx node pid next) o.Run.stitch_hits
-    end
+    let a = w.arena in
+    Run.deliver_into ~mode ~engine ~trace:ctx ~stage:idx a ~src:s.Partition.root
+      ~table:s.Partition.table ~zfilter:s.Partition.filter ~tree;
+    for i = 0 to a.Arena.n_reached - 1 do
+      let v = a.Arena.touched_nodes.(i) in
+      delivered.(v) <- delivered.(v) + 1
+    done;
+    List.iter
+      (fun v -> if not (Arena.reached_node a v) then incr missed_subs)
+      s.Partition.subscribers;
+    traversals := !traversals + a.Arena.link_traversals;
+    fps := !fps + a.Arena.false_positives;
+    tests := !tests + a.Arena.membership_tests;
+    fill_drops := !fill_drops + a.Arena.fill_drops;
+    loop_drops := !loop_drops + a.Arena.loop_drops;
+    for i = 0 to a.Arena.stitch_matches - 1 do
+      hit idx a.Arena.hit_node.(i) a.Arena.hit_partition.(i) a.Arena.hit_next.(i)
+    done
   done;
   let missed = Array.fold_left (fun acc a -> if a then acc else acc + 1) 0 activated in
   (* Runtime cross-check of the sampled publication — the dynamic twin

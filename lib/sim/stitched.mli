@@ -24,7 +24,9 @@ val adaptive : t -> Lipsin_core.Adaptive.t
 
 val net : t -> m:int -> Net.t
 (** The width-[m] network view.
-    @raise Invalid_argument for a width outside the family. *)
+    @raise Invalid_argument for a width outside the family; so do
+    {!install}, {!uninstall} and {!deliver} on a partition with such a
+    stage. *)
 
 val install : t -> Lipsin_bloom.Partition.t -> unit
 (** Installs every stage's stitch entries: for each handoff of stage
@@ -84,10 +86,9 @@ val deliver :
     partition that was never installed simply strands all non-root
     stages ([missed_stages]).
 
-    On the [`Fast] engine in expand-once mode, a publication that is not
-    trace-sampled runs every stage on its width's arena
-    ({!Run.deliver_into}); otherwise each stage runs {!Run.deliver}.
-    Both give the same outcome. *)
+    Every stage runs on its width's arena ({!Run.deliver_into}) with the
+    given [mode] and [engine], under the publication's one trace
+    context. *)
 
 val exactly_once : outcome -> Lipsin_bloom.Partition.t -> (unit, string) result
 (** The runtime exactly-once criterion: every stage ran exactly once

@@ -1,7 +1,6 @@
 module Graph = Lipsin_topology.Graph
 module Spt = Lipsin_topology.Spt
 module Stats = Lipsin_util.Stats
-module Node_engine = Lipsin_forwarding.Node_engine
 
 type config = { node_us : float; link_us : float }
 
@@ -9,96 +8,20 @@ let default = { node_us = 3.0; link_us = 0.5 }
 
 type arrival = { node : Graph.node; time_us : float; depth : int }
 
-module Pq = struct
-  (* Minimal binary heap keyed by time; sizes here are node counts. *)
-  type entry = { time : float; node : Graph.node; in_link : Graph.link option; depth : int }
-  type t = { mutable heap : entry array; mutable size : int }
-
-  let create () = { heap = Array.make 16 { time = 0.; node = 0; in_link = None; depth = 0 }; size = 0 }
-
-  let swap t i j =
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(j);
-    t.heap.(j) <- tmp
-
-  let push t entry =
-    if t.size = Array.length t.heap then begin
-      let bigger = Array.make (2 * t.size) entry in
-      Array.blit t.heap 0 bigger 0 t.size;
-      t.heap <- bigger
-    end;
-    t.heap.(t.size) <- entry;
-    t.size <- t.size + 1;
-    let i = ref (t.size - 1) in
-    while !i > 0 && t.heap.((!i - 1) / 2).time > t.heap.(!i).time do
-      swap t !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      let top = t.heap.(0) in
-      t.size <- t.size - 1;
-      t.heap.(0) <- t.heap.(t.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && t.heap.(l).time < t.heap.(!smallest).time then smallest := l;
-        if r < t.size && t.heap.(r).time < t.heap.(!smallest).time then smallest := r;
-        if !smallest <> !i then begin
-          swap t !i !smallest;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
-end
-
+(* Every hop costs the same, so a node's earliest arrival is its
+   first-reach BFS depth times the per-hop cost. *)
 let deliver ?(config = default) net ~src ~table ~zfilter =
   Net.tick net;
-  let graph = Net.graph net in
-  let n = Graph.node_count graph in
-  let arrival_time = Array.make n infinity in
-  let arrival_depth = Array.make n 0 in
-  let seen_link = Array.make (Graph.link_count graph) false in
-  let pq = Pq.create () in
-  Pq.push pq { Pq.time = 0.0; node = src; in_link = None; depth = 0 };
-  arrival_time.(src) <- 0.0;
-  let rec drain () =
-    match Pq.pop pq with
-    | None -> ()
-    | Some { Pq.time; node; in_link; depth } ->
-      let verdict =
-        Node_engine.forward (Net.engine net node) ~table ~zfilter ~in_link
-      in
-      List.iter
-        (fun l ->
-          if not seen_link.(l.Graph.index) then begin
-            seen_link.(l.Graph.index) <- true;
-            let t' = time +. config.node_us +. config.link_us in
-            let dst = l.Graph.dst in
-            if t' < arrival_time.(dst) then begin
-              arrival_time.(dst) <- t';
-              arrival_depth.(dst) <- depth + 1
-            end;
-            Pq.push pq { Pq.time = t'; node = dst; in_link = Some l; depth = depth + 1 }
-          end)
-        verdict.Lipsin_forwarding.Node_engine.forward_on;
-      drain ()
-  in
-  drain ();
-  let arrivals = ref [] in
-  for v = n - 1 downto 0 do
-    if arrival_time.(v) < infinity then
-      arrivals :=
-        { node = v; time_us = arrival_time.(v); depth = arrival_depth.(v) }
-        :: !arrivals
-  done;
-  List.sort (fun a b -> compare a.time_us b.time_us) !arrivals
+  let a = Arena.create net in
+  Arena.set_tree a [];
+  Arena.run a ~mode:Arena.Expand_once ~engine:`Reference ~loss:None
+    ~trace:Lipsin_obs.Obs.Trace.off ~stage:(-1) ~src ~table ~zfilter;
+  let per_hop = config.node_us +. config.link_us in
+  List.init a.Arena.n_reached (fun i ->
+      let depth = a.Arena.reach_depth.(i) in
+      { node = a.Arena.touched_nodes.(i); time_us = float_of_int depth *. per_hop; depth })
+  |> List.sort (fun x y ->
+         match compare x.time_us y.time_us with 0 -> compare x.node y.node | c -> c)
 
 let latency_to arrivals node =
   List.find_map

@@ -144,14 +144,19 @@ let test_report_accounting_consistent () =
 let test_loss_model_validates () =
   let _, asg, net = lossy_setup () in
   ignore asg;
-  Alcotest.check_raises "bad probability"
-    (Invalid_argument "Run.deliver: loss probability outside [0,1)") (fun () ->
-      ignore
-        (Run.deliver
-           ~loss:{ Run.probability = 1.0; rng = Rng.of_int 1 }
-           net ~src:0 ~table:0
-           ~zfilter:(Lipsin_bloom.Zfilter.create ~m:248)
-           ~tree:[]))
+  List.iter
+    (fun probability ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad probability %g" probability)
+        (Invalid_argument "Run.deliver: loss probability outside [0,1)")
+        (fun () ->
+          ignore
+            (Run.deliver
+               ~loss:{ Run.probability; rng = Rng.of_int 1 }
+               net ~src:0 ~table:0
+               ~zfilter:(Lipsin_bloom.Zfilter.create ~m:248)
+               ~tree:[])))
+    [ 1.0; Float.nan ]
 
 let test_loss_model_drops_and_counts () =
   let g = Graph.create ~nodes:11 in

@@ -313,6 +313,80 @@ let prop_service_matches_sequential =
                !n)
              seq)
 
+(* --- trace-sampled publications stay on the arena --- *)
+
+(* With every publication sampled, the service's counter sums must not
+   move, every job must count as sampled, and every sampled packet's
+   span tree must replay to the sequential delivery set.  Job sources
+   are distinct, so a packet's origin names its job. *)
+let test_sampled_service_path () =
+  let asg, jobs = make_jobs 61 ~nodes:40 ~count:40 in
+  let jobs =
+    Array.of_list
+      (List.rev
+         (Array.fold_left
+            (fun acc j ->
+              if List.exists (fun k -> k.Service.job_src = j.Service.job_src) acc
+              then acc
+              else j :: acc)
+            [] jobs))
+  in
+  let graph = Assignment.graph asg in
+  let dst_of i = (Graph.link graph i).Graph.dst in
+  let strip (st : Service.stats) =
+    [ st.Service.st_link_traversals; st.Service.st_false_positives;
+      st.Service.st_membership_tests; st.Service.st_fill_drops;
+      st.Service.st_loop_drops; st.Service.st_local_deliveries;
+      st.Service.st_nodes_reached ]
+  in
+  List.iter
+    (fun engine ->
+      let seq = sequential ~engine asg jobs in
+      let svc = Service.create ~workers:3 ~engine asg in
+      let noop = Service.run svc jobs in
+      let sampled =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Trace.set_sampling 1;
+            Obs.Sink.set Obs.Sink.Noop)
+          (fun () ->
+            Obs.Sink.set Obs.Sink.Memory;
+            Obs.Trace.set_recording true;
+            Obs.Trace.set_sampling 1;
+            Obs.Trace.clear ();
+            Service.run svc jobs)
+      in
+      Service.shutdown svc;
+      Alcotest.(check (list int)) "counter sums as with the Noop sink"
+        (strip noop) (strip sampled);
+      Alcotest.(check int) "every job sampled" sampled.Service.st_jobs
+        sampled.Service.st_sampled;
+      Alcotest.(check int) "no ring overflow" 0 (Obs.Trace.dropped ());
+      let roots =
+        List.filter
+          (fun e -> e.Obs.Trace.ev_in_link = -1 && e.Obs.Trace.ev_depth = 0)
+          (Obs.Trace.events ())
+      in
+      Alcotest.(check int) "one traced origin per job" (Array.length jobs)
+        (List.length roots);
+      List.iter
+        (fun e ->
+          let i = ref (-1) in
+          Array.iteri
+            (fun k j -> if j.Service.job_src = e.Obs.Trace.ev_node then i := k)
+            jobs;
+          let v =
+            Obs.Span.crosscheck ~dst_of ~expected:(reached_list seq.(!i))
+              (Obs.Span.of_packet e.Obs.Trace.ev_packet)
+          in
+          if not (v.Obs.Span.vd_ok && v.Obs.Span.vd_missing = []
+                  && v.Obs.Span.vd_unexpected = [])
+          then
+            Alcotest.failf "job %d: %s" !i (Obs.Span.verdict_to_string v))
+        roots;
+      Obs.Trace.clear ())
+    [ `Reference; `Fast ]
+
 (* --- a bad job fails alone, on the caller's side --- *)
 
 (* A 120-bit zFilter on the 248-bit Lit.default deployment used to raise
@@ -361,6 +435,8 @@ let () =
           Alcotest.test_case "worker count invariance" `Quick
             test_worker_count_invariance;
           QCheck_alcotest.to_alcotest prop_service_matches_sequential;
+          Alcotest.test_case "trace-sampled service path" `Quick
+            test_sampled_service_path;
         ] );
       ( "arena",
         [

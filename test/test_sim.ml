@@ -10,6 +10,8 @@ module Candidate = Lipsin_core.Candidate
 module Select = Lipsin_core.Select
 module Net = Lipsin_sim.Net
 module Run = Lipsin_sim.Run
+module Arena = Lipsin_sim.Arena
+module Node_engine = Lipsin_forwarding.Node_engine
 module Latency = Lipsin_sim.Latency
 module Stats = Lipsin_util.Stats
 module Rng = Lipsin_util.Rng
@@ -167,6 +169,134 @@ let prop_efficiency_bounded =
       let eff = Run.forwarding_efficiency o ~tree in
       eff > 0.0 && eff <= 1.0)
 
+(* An independent model of the delivery loop: a level-by-level BFS
+   over lists and fresh arrays, deciding with the reference engine.
+   False positives are charged per match, before dedup or TTL refusal;
+   TTL mode refuses a copy whose TTL (initial TTL minus depth) is 0 and
+   stops at the event cap; the loss model draws once per traversal, in
+   traversal order. *)
+let model ~mode ~loss net ~src ~table ~zfilter ~tree =
+  Net.tick net;
+  let g = Net.graph net in
+  let on_tree = Array.make (Graph.link_count g) false in
+  List.iter (fun l -> on_tree.(l.Graph.index) <- true) tree;
+  let seen = Array.make (Graph.link_count g) false in
+  let reached = Array.make (Graph.node_count g) false in
+  reached.(src) <- true;
+  let traversed = ref [] and n_traversed = ref 0 and fps = ref 0 in
+  let tests = ref 0 and fill = ref 0 and loop = ref 0 and local = ref 0 in
+  let lost = ref 0 and hits = ref [] in
+  let admit depth l =
+    match mode with
+    | Run.Expand_once ->
+      let fresh = not seen.(l.Graph.index) in
+      seen.(l.Graph.index) <- true;
+      fresh
+    | Run.Ttl ttl -> ttl - depth > 0 && !n_traversed < Arena.ttl_event_cap
+  in
+  let hop next (node, in_link, depth) =
+    let v = Node_engine.forward (Net.engine net node) ~table ~zfilter ~in_link in
+    tests := !tests + v.Node_engine.false_positive_tests;
+    if v.Node_engine.deliver_local then incr local;
+    (match v.Node_engine.drop with
+    | Some Node_engine.Fill_limit_exceeded -> incr fill
+    | Some Node_engine.Loop_detected -> incr loop
+    | Some Node_engine.Bad_table | None -> ());
+    List.iter (fun (pid, nx) -> hits := (node, pid, nx) :: !hits)
+      v.Node_engine.stitches_matched;
+    List.fold_left
+      (fun next l ->
+        if not on_tree.(l.Graph.index) then incr fps;
+        if not (admit depth l) then next
+        else begin
+          traversed := l.Graph.index :: !traversed;
+          incr n_traversed;
+          match loss with
+          | Some { Run.probability; rng } when Rng.float rng 1.0 < probability ->
+            incr lost;
+            next
+          | Some _ | None ->
+            reached.(l.Graph.dst) <- true;
+            (l.Graph.dst, Some l, depth + 1) :: next
+        end)
+      next v.Node_engine.forward_on
+  in
+  let rec levels = function
+    | [] -> ()
+    | level -> levels (List.rev (List.fold_left hop [] level))
+  in
+  levels [ (src, None, 0) ];
+  ( reached,
+    List.rev !traversed,
+    [ !n_traversed; !fps; !tests; !fill; !loop; !local; !lost ],
+    List.rev !hits )
+
+let observed (o : Run.outcome) =
+  ( o.Run.reached,
+    List.map (fun l -> l.Graph.index) o.Run.traversed,
+    [ o.Run.link_traversals; o.Run.false_positives; o.Run.membership_tests;
+      o.Run.fill_drops; o.Run.loop_drops; o.Run.local_deliveries; o.Run.lost ],
+    o.Run.stitch_hits )
+
+(* Random deployments with a filter over a random link set (so nodes
+   are revisited and deduplicated), an intended tree that is half of
+   it (so false positives are common), a few stitch entries, and every
+   delivery mode. *)
+let prop_loop_matches_model =
+  QCheck.Test.make ~name:"Run.deliver == list BFS model (modes, loss, engines)"
+    ~count:150
+    QCheck.(quad small_nat (int_range 2 24) (int_range 0 6) (int_range 0 2))
+    (fun (seed, n_links, ttl, lossy) ->
+      let rng = Rng.of_int (seed + 101) in
+      let g =
+        Generator.pref_attach ~rng ~nodes:30 ~edges:55 ~max_degree:8 ()
+      in
+      let asg = Assignment.make Lit.default (Rng.split rng) g in
+      let params = Assignment.params asg in
+      let picks = Rng.sample rng n_links (Graph.link_count g) in
+      let links = Array.to_list (Array.map (Graph.link g) picks) in
+      let table = Rng.int rng params.Lit.d in
+      let zfilter = Zfilter.create ~m:params.Lit.m in
+      List.iter (fun l -> Zfilter.add zfilter (Assignment.tag asg l ~table)) links;
+      let tree = List.filteri (fun i _ -> i mod 2 = 0) links in
+      let stitches =
+        List.init 3 (fun i ->
+            let lit = Lit.generate params ~nonce:(Int64.of_int (seed * 7 + i)) in
+            if i < 2 then Zfilter.add zfilter (Lit.tag lit table);
+            (Rng.int rng 30, lit, i))
+      in
+      let loop_prevention = seed mod 2 = 0 in
+      let fresh_net () =
+        let net = Net.make ~loop_prevention asg in
+        List.iter
+          (fun (at, lit, i) ->
+            Node_engine.install_stitch (Net.engine net at) lit ~partition:9
+              ~next:i;
+            Net.restitch net at)
+          stitches;
+        net
+      in
+      let mode = if ttl = 0 then Run.Expand_once else Run.Ttl ttl in
+      let loss () =
+        if lossy = 0 then None
+        else
+          Some
+            { Run.probability = 0.2 *. float_of_int lossy;
+              rng = Rng.of_int (seed + 7) }
+      in
+      let src = Rng.int rng 30 in
+      let want =
+        model ~mode ~loss:(loss ()) (fresh_net ()) ~src ~table ~zfilter ~tree
+      in
+      List.for_all
+        (fun engine ->
+          let o =
+            Run.deliver ~mode ?loss:(loss ()) ~engine (fresh_net ()) ~src
+              ~table ~zfilter ~tree
+          in
+          o.Run.packet_id = -1 && observed o = want)
+        [ `Reference; `Fast ])
+
 let test_latency_model_monotone () =
   let rng = Rng.create 3L in
   let s0 = Latency.sample_one_way rng Latency.default ~hops:0 ~samples:2000 in
@@ -205,6 +335,7 @@ let () =
           Alcotest.test_case "efficiency formula" `Quick test_efficiency_formula;
           QCheck_alcotest.to_alcotest prop_delivery_complete;
           QCheck_alcotest.to_alcotest prop_efficiency_bounded;
+          QCheck_alcotest.to_alcotest prop_loop_matches_model;
         ] );
       ( "latency",
         [
